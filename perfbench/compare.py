@@ -2,23 +2,23 @@
 """Collect and compare benchmark result sets.
 
     python3 perfbench/compare.py collect DIR [--workloads W ...] [--seeds 1-10]
-                                             [--seconds S] [--trace 0|1]
+                                             [--trace 0|1]
         run perfbench/run.py once per (workload, seed) from the current
-        directory and keep each run's stdout as DIR/<workload>-<seed>-t<trace>.out
-
-    python3 perfbench/compare.py spread DIR
-        per (workload, end-to-end metric): median, quartiles, and the
-        spread (Q3 - Q1) / median against the metric's bound
+        directory, for BENCHMARK.json's run_seconds, and keep each run's
+        stdout as DIR/<workload>-<seed>-t<trace>.out
 
     python3 perfbench/compare.py compare OLD NEW
-        per (workload, end-to-end metric): both medians and quartiles and
-        the delta against the metric's bound; flags REGRESSION when NEW
-        is worse than OLD by more than the bound, "unresolved" when
-        either side spreads wider than the bound (unless every NEW run
-        beats every OLD run), "ok" otherwise
+        per (workload, end-to-end metric): both medians, quartiles and
+        spreads (Q3 - Q1) / median, and the delta against the metric's
+        bound; flags REGRESSION when NEW is worse than OLD by more than
+        the bound, "unresolved" when either side spreads wider than the
+        bound (unless every NEW run beats every OLD run), "ok" otherwise.
+        `compare DIR DIR` shows one set's steadiness.
 
 Quartiles are statistics.quantiles(values, n=4); bounds, units and
-directions come from BENCHMARK.json.
+directions come from BENCHMARK.json.  Runs that failed their gates are
+left out of the medians and counted on a FAILED line; sets measured for
+different run lengths are refused.
 """
 
 import argparse
@@ -46,7 +46,7 @@ def collect(a):
     bench = bench_spec()
     os.makedirs(a.dir, exist_ok=True)
     workloads = a.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = a.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     for w in workloads:
         for s in seeds(a.seeds):
             argv = [*bench["command"], "--workload", w, "--seed", str(s),
@@ -62,20 +62,23 @@ def collect(a):
 
 
 def load(dirname):
-    """{workload: {metric: [values]}} from the untraced runs in dirname."""
-    out = {}
+    """({workload: {metric: [values]}}, {workload: failed runs}, run lengths)
+    from the untraced runs in dirname."""
+    out, failed, lengths = {}, {}, set()
     for path in sorted(glob.glob(os.path.join(dirname, "*-t0.out"))):
         lines = open(path).read().strip().splitlines()
         if len(lines) < 2:
             continue
         record = json.loads(lines[-2])["perfbench"]
         result = json.loads(lines[-1])
+        lengths.add(record["seconds"])
         if not result["correct"]:
-            print("note: %s failed its gates" % path)
+            failed[record["workload"]] = failed.get(record["workload"], 0) + 1
+            continue
         per = out.setdefault(record["workload"], {})
         for name, m in result["metrics"].items():
             per.setdefault(name, []).append(m["value"])
-    return out
+    return out, failed, lengths
 
 
 def stats(values):
@@ -87,34 +90,20 @@ def stats(values):
     return med, q1, q3, (q3 - q1) / med if med else float("inf")
 
 
-def spread(a):
-    bench = bench_spec()
-    data = load(a.dir)
-    print("%-12s %-16s %4s %12s %12s %12s %8s %7s %s" % (
-        "workload", "metric", "n", "median", "q1", "q3", "spread", "bound", ""))
-    worst = 0
-    for w, per in data.items():
-        for m in bench["end_to_end"]:
-            vals = per.get(m["name"], [])
-            if not vals:
-                continue
-            med, q1, q3, sp = stats(vals)
-            mark = "ok" if sp < m["bound"] / 3 else (
-                "wide" if sp <= m["bound"] else "UNSTEADY")
-            if m["name"] != "setup_s" and sp > m["bound"]:
-                worst = 1
-            print("%-12s %-16s %4d %12.5g %12.5g %12.5g %7.1f%% %6.0f%% %s" % (
-                w, m["name"], len(vals), med, q1, q3, 100 * sp, 100 * m["bound"], mark))
-    return worst
-
-
 def compare(a):
     bench = bench_spec()
-    old, new = load(a.old), load(a.new)
+    (old, old_failed, old_len), (new, new_failed, new_len) = load(a.old), load(a.new)
+    if len(old_len | new_len) > 1:
+        sys.exit("refused: the sets were measured for different run lengths %s"
+                 % sorted(old_len | new_len))
     print("%-12s %-16s %12s %12s %9s %7s %s" % (
         "workload", "metric", "old median", "new median", "worse by", "bound", "verdict"))
-    regressions = 0
-    for w in sorted(set(old) | set(new)):
+    flagged = 0
+    for w in sorted(set(old) | set(new) | set(old_failed) | set(new_failed)):
+        if old_failed.get(w) or new_failed.get(w):
+            flagged += 1
+            print("%-12s FAILED runs left out: %d old, %d new" % (
+                w, old_failed.get(w, 0), new_failed.get(w, 0)))
         for m in bench["end_to_end"]:
             ov, nv = old.get(w, {}).get(m["name"]), new.get(w, {}).get(m["name"])
             if not ov or not nv:
@@ -127,16 +116,17 @@ def compare(a):
             all_better = (max(nv) < min(ov)) if sign > 0 else (min(nv) > max(ov))
             if worse > m["bound"]:
                 verdict = "REGRESSION"
-                regressions += 1
+                flagged += 1
             elif max(osp, nsp) > m["bound"] and not all_better:
                 verdict = "unresolved"
             else:
                 verdict = "ok"
-            print("%-12s %-16s %12.5g %12.5g %+8.1f%% %6.0f%% %s   "
-                  "old q1..q3 %.5g..%.5g  new q1..q3 %.5g..%.5g" % (
-                      w, m["name"], om, nm, 100 * worse,
-                      100 * m["bound"], verdict, oq1, oq3, nq1, nq3))
-    return 1 if regressions else 0
+            print("%-12s %-16s %12.5g %12.5g %+8.1f%% %6.0f%% %-10s "
+                  "old q1..q3 %.5g..%.5g (spread %.1f%%)  "
+                  "new q1..q3 %.5g..%.5g (spread %.1f%%)" % (
+                      w, m["name"], om, nm, 100 * worse, 100 * m["bound"], verdict,
+                      oq1, oq3, 100 * osp, nq1, nq3, 100 * nsp))
+    return 1 if flagged else 0
 
 
 def main():
@@ -146,15 +136,12 @@ def main():
     c.add_argument("dir")
     c.add_argument("--workloads", nargs="*")
     c.add_argument("--seeds", default="1-10")
-    c.add_argument("--seconds", type=int)
     c.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    s = sub.add_parser("spread")
-    s.add_argument("dir")
     p = sub.add_parser("compare")
     p.add_argument("old")
     p.add_argument("new")
     a = ap.parse_args()
-    sys.exit({"collect": collect, "spread": spread, "compare": compare}[a.cmd](a) or 0)
+    sys.exit({"collect": collect, "compare": compare}[a.cmd](a) or 0)
 
 
 if __name__ == "__main__":

@@ -335,13 +335,15 @@ let devnull = lazy (Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0)
    exit, [die] included, so no run leaves one behind. *)
 let daemon = ref None
 
-let () =
-  at_exit (fun () ->
-      match !daemon with
-      | Some pid -> (
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-      | None -> ())
+let kill_daemon () =
+  match !daemon with
+  | Some pid ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+      daemon := None
+  | None -> ()
+
+let () = at_exit kill_daemon
 
 let spawn_daemon ~qsynth ~socket ~trace_file ~log =
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
@@ -374,26 +376,32 @@ let canonical ~traced body =
     | Error _ -> body
 
 (* Launch to first correct answer: connect as soon as the socket
-   accepts, ask one fixed question, compare the bytes. *)
+   accepts, ask one fixed question, compare the bytes.  A daemon that
+   exits, stays silent or answers wrongly is an [Error], which the run
+   reports as a failed gate. *)
 let first_answer pid ~socket ~traced =
   let probe = Mce.Request.make ~id:"setup" ~max_depth:13 "0,1,2,3,4,5,7,6" in
   let expect = Mce.Response.to_string (solve ~oneshot:false probe) in
   let deadline = now () +. 60. in
+  let ask fd =
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    Protocol.write_frame fd (to_frame probe);
+    Protocol.read_frame fd
+  in
   let rec attempt () =
-    if exited pid then die "daemon exited during start-up"
-    else if now () > deadline then die "daemon did not answer within 60 s"
+    if exited pid then Error "daemon exited during start-up"
+    else if now () > deadline then Error "daemon did not answer within 60 s"
     else
       match Protocol.connect socket with
       | exception Unix.Unix_error _ ->
           Thread.delay 0.0002;
           attempt ()
-      | fd ->
-          Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-          Protocol.write_frame fd (to_frame probe);
-          (match Protocol.read_frame fd with
-          | Ok body when String.equal (canonical ~traced body) expect -> ()
-          | Ok body -> die "wrong first answer: %s" body
-          | Error e -> die "first answer: %s" (Protocol.read_error_to_string e))
+      | fd -> (
+          match ask fd with
+          | exception Unix.Unix_error _ -> attempt ()
+          | Ok body when String.equal (canonical ~traced body) expect -> Ok ()
+          | Ok body -> Error ("wrong first answer: " ^ body)
+          | Error e -> Error ("first answer: " ^ Protocol.read_error_to_string e))
   in
   attempt ()
 
@@ -404,7 +412,9 @@ let stop_daemon pid =
   status = Unix.WEXITED 0
 
 let peak_rss_mb pid =
-  let ic = open_in (Printf.sprintf "/proc/%d/status" pid) in
+  match open_in (Printf.sprintf "/proc/%d/status" pid) with
+  | exception Sys_error _ -> Float.nan
+  | ic ->
   Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
   let rec go () =
     match input_line ic with
@@ -459,14 +469,30 @@ let run_load ~socket ~conns ~rps ~seconds ~seed next =
         { (next ()) with Mce.Request.id = Some (Printf.sprintf "r%d" i) })
   in
   let frames = Array.map to_frame reqs in
-  let fds = Array.init conns (fun _ -> Protocol.connect socket) in
   let sent = Array.make n Float.nan in
   let recv = Array.make n Float.nan in
   let bodies = Array.make n "" in
+  let schedule () =
+    let start = now () +. 0.005 in
+    Array.map (fun o -> start +. o) offsets
+  in
+  let opened = ref [] in
+  match
+    Array.init conns (fun _ ->
+        let fd = Protocol.connect socket in
+        opened := fd :: !opened;
+        fd)
+  with
+  | exception Unix.Unix_error _ ->
+      (* no daemon to talk to: every request is a failed send *)
+      List.iter Unix.close !opened;
+      { reqs; due = schedule (); sent; recv; bodies; send_errors = n }
+  | fds ->
   let answered = Atomic.make 0 in
+  let reader_done = Atomic.make false and stop = Atomic.make false in
   let reader () =
     let live = ref (Array.to_list fds) in
-    while !live <> [] do
+    while !live <> [] && not (Atomic.get stop) do
       let ready, _, _ =
         try Unix.select !live [] [] 1.0
         with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
@@ -484,11 +510,11 @@ let run_load ~socket ~conns ~rps ~seconds ~seed next =
                   Atomic.incr answered
               | _ -> ()))
         ready
-    done
+    done;
+    Atomic.set reader_done true
   in
   let rd = Thread.create reader () in
-  let start = now () +. 0.005 in
-  let due = Array.map (fun o -> start +. o) offsets in
+  let due = schedule () in
   let send_errors = ref 0 in
   Array.iteri
     (fun i at ->
@@ -498,13 +524,20 @@ let run_load ~socket ~conns ~rps ~seconds ~seed next =
        with Unix.Unix_error _ -> incr send_errors);
       sent.(i) <- now ())
     due;
-  let drain_deadline = now () +. 90. in
-  while Atomic.get answered < n - !send_errors && now () < drain_deadline do
+  (* a daemon that died closes its end and ends the reader early; one
+     that hangs is given up on after 30 s *)
+  let drain_deadline = now () +. 30. in
+  while
+    Atomic.get answered < n - !send_errors
+    && (not (Atomic.get reader_done))
+    && now () < drain_deadline
+  do
     Thread.delay 0.002
   done;
   Array.iter
     (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
     fds;
+  Atomic.set stop true;
   Thread.join rd;
   Array.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds;
   { reqs; due; sent; recv; bodies; send_errors = !send_errors }
@@ -603,19 +636,31 @@ let cmd_serve () =
   let socket = arg "socket" and trace_file = arg_opt "trace-file" in
   let traced = trace_file <> None in
   let log = arg "log" in
-  (* set-up: every launch but the last is stopped after its first answer *)
+  (* set-up: every launch but the last is stopped after its first
+     answer.  A launch that fails ends the run with [setup_error], which
+     run.py records as a failed gate. *)
   let rec launch k acc =
     let t0 = now () in
     let pid = spawn_daemon ~qsynth ~socket ~trace_file ~log in
-    first_answer pid ~socket ~traced;
-    let s = now () -. t0 in
-    if k = 1 then (pid, List.rev (s :: acc))
-    else begin
-      if not (stop_daemon pid) then die "daemon did not exit cleanly";
-      launch (k - 1) (s :: acc)
-    end
+    match first_answer pid ~socket ~traced with
+    | Error e -> Error (e, acc)
+    | Ok () ->
+        let acc = (now () -. t0) :: acc in
+        if k = 1 then Ok (pid, List.rev acc)
+        else if stop_daemon pid then launch (k - 1) acc
+        else Error ("daemon did not exit cleanly after start-up", acc)
   in
-  let pid, setup = launch launches [] in
+  match launch launches [] with
+  | Error (e, setup) ->
+      kill_daemon ();
+      print_endline
+        (Json.to_string
+           (Json.Obj
+              [
+                ("setup_error", Json.String e);
+                ("setup_s", Json.List (List.rev_map (fun s -> Json.Float s) setup));
+              ]))
+  | Ok (pid, setup) ->
   let l =
     run_load ~socket ~conns:(arg_int "conns") ~rps:(arg_float "rps")
       ~seconds:(arg_float "seconds") ~seed (draw workload seed)
@@ -771,6 +816,8 @@ let cmd_layers () =
 
 let () =
   if Array.length Sys.argv < 2 then die "usage: pb SUBCOMMAND [--key value ...]";
+  (* a daemon that dies mid-load must show as failed sends, not kill pb *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   match Sys.argv.(1) with
   | "gen" -> cmd_gen ()
   | "expect" -> cmd_expect ()

@@ -33,6 +33,10 @@ WORK = ".perfbench-work"  # relative: socket paths must stay short
 QSYNTH = "_build/default/bin/qsynth.exe"
 PB = "_build/default/perfbench/pb.exe"
 LIBRARIES = ["paper18", "nct", "nft"]
+# The load driver's connections (at most nproc) and the daemon launches
+# each serve run times for setup_s.
+CONNECTIONS = min(2, os.cpu_count() or 1)
+SETUP_LAUNCHES = 25
 
 # Published spectra the gates compare against: the paper's Table 2 (raw
 # depth-7 census), the paper18 complete-index spectrum, Shende et al.'s
@@ -47,7 +51,9 @@ SPECTRA = {
 
 
 def fail_setup(msg):
-    """Stop before printing any result line."""
+    """Stop before printing any result line: for a failed build, a missing
+    checkout or a fault of the benchmark itself, never for a fault of the
+    program under test."""
     sys.stderr.write("perfbench: %s\n" % msg)
     sys.exit(2)
 
@@ -63,6 +69,11 @@ def percentile(values, p):
 
 def median(values):
     return statistics.median(values) if values else float("nan")
+
+
+def number(x):
+    """x, or None when it was not measured."""
+    return None if x is None or x != x else x
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +100,23 @@ def run_measured(argv, stdout_path):
     return dt, usage.ru_maxrss / 1024.0, p.returncode, text
 
 
-def pb(*args, stdin=None):
+def pb(*args, stdin=None, gates=None):
+    """Run the probe and return its stdout.  The probe runs the library
+    under test in process, so with gates a probe that fails is a failed
+    gate ("probe.<subcommand>") and the result is None; without gates
+    (request generation only) it is a set-up failure."""
     r = subprocess.run([PB, *args], input=stdin, capture_output=True, text=True)
-    if r.returncode != 0:
+    ok = r.returncode == 0
+    if gates is None and not ok:
         fail_setup("pb %s failed: %s" % (args[0], r.stderr.strip()))
-    return r.stdout
+    if gates is not None:
+        gates.check("probe." + args[0], ok, None if ok else r.stderr.strip()[-2000:])
+    return r.stdout if ok else None
 
 
-def pb_json(*args):
-    return json.loads(pb(*args).strip().splitlines()[-1])
+def pb_json(*args, gates):
+    out = pb(*args, gates=gates)
+    return json.loads(out.strip().splitlines()[-1]) if out is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +174,28 @@ def host_fingerprint(seed):
     }
 
 
+def cpu_ticks():
+    """(steal, total) CPU ticks of the whole host so far, or None off Linux."""
+    try:
+        with open("/proc/stat") as f:
+            ticks = [int(x) for x in f.readline().split()[1:]]
+    except (OSError, ValueError):
+        return None
+    return ticks[7] if len(ticks) > 7 else 0, sum(ticks)
+
+
 def index_census(lib):
     """The command that builds and writes lib's complete index."""
     return [QSYNTH, "census", "--library", lib, "-d", "13", "--quotient",
             "--emit-index", os.path.join(WORK, lib + ".idx")]
 
 
-def emit_indexes():
+def emit_indexes(gates):
     """Complete indexes the daemon serves and the draws read costs from
     (set-up work, not measured)."""
     for lib in LIBRARIES:
-        if run_timed(index_census(lib))[1] != 0:
-            fail_setup("census --library %s failed" % lib)
+        code = run_timed(index_census(lib))[1]
+        gates.check("census.%s.emitted" % lib, code == 0, code)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +235,8 @@ def parse_row(text, label):
 
 
 def check_indexes(gates):
-    facts = pb_json("indexes", "--index-dir", WORK)
-    for lib in LIBRARIES:
+    facts = pb_json("indexes", "--index-dir", WORK, gates=gates)
+    for lib in LIBRARIES if facts else []:
         f = facts[lib]
         gates.check("index.%s.full_verify" % lib, f["ok"], f.get("error"))
         if not f["ok"]:
@@ -231,23 +260,28 @@ def oneshot_argv(req, trace=False):
     return argv + [req["spec"]]
 
 
-def oneshot_batch(lines, gates, trace=False):
-    """Cold synth --json per request: (latencies in ms, outputs, failures)."""
-    lat, outs, failed = [], [], 0
+def oneshot_pairs(lines, gates):
+    """Each request as a cold synth --json, untraced and then traced, back
+    to back so drift on the host hits both alike: (traced / untraced time
+    per request, untraced outputs, failures)."""
+    ratios, outs, failed = [], [], 0
     for line in lines:
-        dt, code, out = run_timed(oneshot_argv(json.loads(line), trace))
-        lat.append(1000.0 * dt)
+        req = json.loads(line)
+        dt, code, out = run_timed(oneshot_argv(req))
+        dt_traced, code_traced, _ = run_timed(oneshot_argv(req, trace=True))
+        ratios.append(dt_traced / dt)
         outs.append(out.strip())
-        if code != 0:
-            failed += 1
+        failed += int(code != 0) + int(code_traced != 0)
     gates.check("oneshot.exit_codes", failed == 0, failed)
-    return lat, outs, failed
+    return ratios, outs, failed
 
 
 def check_oneshot(lines, outs, gates):
-    want = pb("expect", "--index-dir", WORK, stdin="\n".join(lines) + "\n").splitlines()
-    wrong = sum(1 for a, b in zip(outs, want) if a != b)
-    gates.check("oneshot.byte_identical", wrong == 0 and len(want) == len(outs), wrong)
+    want = pb("expect", "--index-dir", WORK, stdin="\n".join(lines) + "\n",
+              gates=gates)
+    want = want.splitlines() if want is not None else []
+    wrong = sum(1 for a, b in zip(outs, want) if a != b) + abs(len(outs) - len(want))
+    gates.check("oneshot.byte_identical", wrong == 0, wrong)
     return wrong
 
 
@@ -281,14 +315,21 @@ def build_cycle(gates, lines):
     return c
 
 
-def workload_build(cfg, seed, seconds, gates):
-    per = cfg["oneshot_per_cycle"]
+# A build cycle asks 48 one-shot queries (16 per library).  A run makes at
+# least 3 cycles, so its medians have three samples, and at most 20.
+ONESHOT_PER_CYCLE, MIN_CYCLES, MAX_CYCLES = 48, 3, 20
+# A traced build run times 60 one-shot queries, untraced and traced.
+TRACED_ONESHOTS = 60
+
+
+def workload_build(seed, seconds, gates):
+    per = ONESHOT_PER_CYCLE
     lines = pb("gen", "--workload", "build", "--seed", str(seed), "--count",
-               str(per * cfg["max_cycles"]), "--index-dir", WORK).splitlines()
+               str(per * MAX_CYCLES), "--index-dir", WORK).splitlines()
     cycles = []
     deadline = time.perf_counter() + seconds
-    while len(cycles) < cfg["min_cycles"] or (
-            time.perf_counter() < deadline and len(cycles) < cfg["max_cycles"]):
+    while len(cycles) < MIN_CYCLES or (
+            time.perf_counter() < deadline and len(cycles) < MAX_CYCLES):
         k = len(cycles)
         cycles.append(build_cycle(gates, lines[k * per:(k + 1) * per]))
     used = [line for c in cycles for line, _ in c["outs"]]
@@ -305,7 +346,7 @@ def workload_build(cfg, seed, seconds, gates):
         "table2_s": median([c["table2_s"] for c in cycles]),
         "build_s": median([c["build_s"] for c in cycles]),
     }
-    detail["latency_p90_ms"] = percentile(oneshot, 0.9)
+    detail["latency_p90_ms"] = number(percentile(oneshot, 0.9))
     metrics = {
         "setup_s": median([c["table2_s"] + c["build_s"] for c in cycles]),
         "latency_p50_ms": percentile(oneshot, 0.5),
@@ -318,40 +359,52 @@ def workload_build(cfg, seed, seconds, gates):
 # Workloads: serve-hot and serve-mixed (and the traced daemon pass of build)
 
 
-def serve(workload, cfg, seed, seconds, launches, trace_file=None, ladder=False):
+# What a serve run reports when the daemon never got to take load.
+NOT_SERVED = {"setup_s": [], "sent": 0, "answered": 0, "send_errors": 0,
+              "error_bodies": 0, "checked": 0, "wrong": 0, "clean_exit": False,
+              "peak_rss_mb": None, "latency_ms": [], "lateness_p99_ms": None,
+              "max_rps": None}
+
+
+def serve(workload, cfg, seed, seconds, launches, gates, trace_file=None,
+          ladder=False):
+    """One daemon run through pb serve.  A daemon that exits during
+    start-up, answers its first question wrongly or does not stop
+    cleanly between launches fails the serve.setup gate."""
     args = ["serve", "--qsynth", QSYNTH, "--index-dir", WORK,
             "--workload", workload, "--seed", str(seed),
             "--launches", str(launches), "--socket", os.path.join(WORK, "d.sock"),
             "--log", os.path.join(WORK, "daemon.log"),
-            "--conns", str(min(cfg["connections"], os.cpu_count() or 1)),
+            "--conns", str(CONNECTIONS),
             "--rps", str(cfg["reference_rps"]), "--seconds", str(seconds),
             "--sample", str(cfg["check_sample"])]
     if trace_file:
         args += ["--trace-file", trace_file]
     if ladder:
         args += ["--ladder-limit-ms", str(cfg["p90_limit_ms"])]
-    r = pb_json(*args)
+    r = pb_json(*args, gates=gates)
+    error = "probe failed" if r is None else r.get("setup_error")
+    gates.check("serve.setup", error is None, error)
+    r = {**NOT_SERVED, **(r or {})}
     failed = (r["sent"] - r["answered"]) + r["error_bodies"] + r["wrong"] \
         + int(not r["clean_exit"])
     return r, r["latency_ms"], failed
 
 
-def serve_summary(r, lat, gates, cfg):
+def serve_summary(r, lat, gates):
     gates.check("serve.answered_all", r["answered"] == r["sent"],
                 [r["answered"], r["sent"]])
     gates.check("serve.no_error_bodies", r["error_bodies"] == 0, r["error_bodies"])
     gates.check("serve.byte_identical", r["wrong"] == 0,
                 {"checked": r["checked"], "wrong": r["wrong"]})
     gates.check("serve.clean_drain", r["clean_exit"])
-    p90 = percentile(lat, 0.9)
-    gates.check("serve.p90_within_limit", p90 <= cfg["p90_limit_ms"], p90)
     detail = {
         "requests": r["sent"],
         "answered": r["answered"],
         "checked_byte_identical": r["checked"],
         "setup_samples_s": r["setup_s"],
-        "latency_p90_ms": p90,
-        "latency_p99_ms": percentile(lat, 0.99),
+        "latency_p90_ms": number(percentile(lat, 0.9)),
+        "latency_p99_ms": number(percentile(lat, 0.99)),
         "lateness_p99_ms": r["lateness_p99_ms"],
     }
     metrics = {
@@ -363,10 +416,10 @@ def serve_summary(r, lat, gates, cfg):
 
 
 def workload_serve(name, cfg, seed, seconds, gates):
-    emit_indexes()
-    r, lat, failed = serve(name, cfg, seed, seconds, cfg["setup_launches"])
-    metrics, detail = serve_summary(r, lat, gates, cfg)
-    return metrics, detail, r["sent"] + cfg["setup_launches"], failed
+    emit_indexes(gates)
+    r, lat, failed = serve(name, cfg, seed, seconds, SETUP_LAUNCHES, gates)
+    metrics, detail = serve_summary(r, lat, gates)
+    return metrics, detail, r["sent"] + SETUP_LAUNCHES, failed
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +449,8 @@ def covered(parent, children):
 def span_metrics(path):
     """Per-layer figures from the daemon's own --trace-file spans."""
     traces = defaultdict(list)
+    if not os.path.exists(path):  # the traced daemon never started
+        return {}
     with open(path) as f:
         for line in f:
             d = json.loads(line)
@@ -440,24 +495,21 @@ def traced(name, cfg, seed, gates):
     layer = {}
     trace_file = os.path.join(WORK, "trace.jsonl")
     attempted = failed = 0
+    emit_indexes(gates)
     if name == "build":
-        emit_indexes()
         lines = pb("gen", "--workload", "build", "--seed", str(seed), "--count",
-                   str(cfg["traced_oneshots"]), "--index-dir", WORK).splitlines()
-        plain, outs, f0 = oneshot_batch(lines, gates)
+                   str(TRACED_ONESHOTS), "--index-dir", WORK).splitlines()
+        ratios, outs, f0 = oneshot_pairs(lines, gates)
         check_oneshot(lines, outs, gates)
-        with_trace, _, f1 = oneshot_batch(lines, gates, trace=True)
-        layer["tracing.overhead"] = median(with_trace) / median(plain) - 1.0
+        layer["tracing.overhead"] = median(ratios) - 1.0
         attempted += 2 * len(lines)
-        failed += f0 + f1
-        # the daemon layers, on the same draw through the shared command line
-        cfg = dict(cfg, reference_rps=cfg["traced_daemon_rps"])
-    else:
-        emit_indexes()
+        failed += f0
+        # the daemon layers, on the same draw through the shared command
+        # line, at build's reference_rps
     seconds = cfg["traced_seconds"]
-    r0, lat0, f0 = serve(name, cfg, seed, seconds, 1, ladder=True)
-    r, lat, f = serve(name, cfg, seed, seconds, 1, trace_file)
-    serve_summary(r0, lat0, gates, cfg)
+    r0, lat0, f0 = serve(name, cfg, seed, seconds, 1, gates, ladder=True)
+    r, lat, f = serve(name, cfg, seed, seconds, 1, gates, trace_file)
+    serve_summary(r0, lat0, gates)
     if name != "build":
         layer["tracing.overhead"] = percentile(lat, 0.5) / percentile(lat0, 0.5) - 1.0
     attempted += r0["sent"] + r["sent"]
@@ -470,7 +522,8 @@ def traced(name, cfg, seed, gates):
     layer.update(span_metrics(trace_file))
     layer["process.start_ms"] = median(
         [1000.0 * run_timed([QSYNTH, "libraries"])[0] for _ in range(21)])
-    layer.update(pb_json("layers", "--index-dir", WORK, "--seed", str(seed)))
+    layer.update(pb_json("layers", "--index-dir", WORK, "--seed", str(seed),
+                         gates=gates) or {})
     return layer, attempted, failed
 
 
@@ -500,26 +553,36 @@ def main():
     os.environ["TMPDIR"] = os.path.abspath(WORK)
 
     gates = Gates()
+    ticks0 = cpu_ticks()
     if a.trace:
         values, attempted, failed = traced(a.workload, cfg, a.seed, gates)
         wanted, detail = bench["per_layer"], {}
     else:
         if a.workload == "build":
-            values, detail, attempted, failed = workload_build(cfg, a.seed, a.seconds, gates)
+            values, detail, attempted, failed = workload_build(a.seed, a.seconds, gates)
         else:
             values, detail, attempted, failed = workload_serve(
                 a.workload, cfg, a.seed, a.seconds, gates)
         wanted = bench["end_to_end"]
-    missing = [m["name"] for m in wanted if m["name"] not in values]
-    if missing:
-        fail_setup("metrics not measured: %s" % ", ".join(missing))
     failed += gates.failed
     attempted += len(gates.results)
-    metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in wanted}
+    missing = [m["name"] for m in wanted if m["name"] not in values]
+    if missing and failed == 0:
+        fail_setup("metrics not measured: %s" % ", ".join(missing))
+    # a figure the failing program kept from being measured reads null
+    metrics = {m["name"]: {"value": number(values.get(m["name"])), "unit": m["unit"]}
+               for m in wanted}
+    ticks1 = cpu_ticks()
+    host = host_fingerprint(a.seed)
+    # the share of CPU time the hypervisor gave to other guests during the
+    # run: a run with a high share was slowed by its neighbours
+    if ticks0 and ticks1 and ticks1[1] > ticks0[1]:
+        host["steal_share"] = (ticks1[0] - ticks0[0]) / (ticks1[1] - ticks0[1])
     record = {
         "workload": a.workload,
         "trace": a.trace,
-        "host": host_fingerprint(a.seed),
+        "seconds": a.seconds,
+        "host": host,
         "metrics": metrics,
         "detail": detail,
         "gates": gates.results,
