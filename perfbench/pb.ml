@@ -411,19 +411,44 @@ let stop_daemon pid =
   daemon := None;
   status = Unix.WEXITED 0
 
-let peak_rss_mb pid =
+(* The line [key: ...] of /proc/PID/status, or None off Linux. *)
+let proc_status pid key =
   match open_in (Printf.sprintf "/proc/%d/status" pid) with
-  | exception Sys_error _ -> Float.nan
+  | exception Sys_error _ -> None
   | ic ->
   Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
   let rec go () =
     match input_line ic with
-    | l when String.starts_with ~prefix:"VmHWM:" l ->
-        Scanf.sscanf l "VmHWM: %d kB" (fun kb -> float kb /. 1024.)
+    | l when String.starts_with ~prefix:(key ^ ":") l -> Some l
     | _ -> go ()
-    | exception End_of_file -> Float.nan
+    | exception End_of_file -> None
   in
   go ()
+
+let peak_rss_mb pid =
+  match proc_status pid "VmHWM" with
+  | Some l -> Scanf.sscanf l "VmHWM: %d kB" (fun kb -> float kb /. 1024.)
+  | None -> Float.nan
+
+(* Whether [pid] has a handler for SIGTERM (signal 15, bit 14 of the
+   SigCgt mask); None when the mask cannot be read. *)
+let catches_sigterm pid =
+  Option.map
+    (fun l -> Scanf.sscanf l "SigCgt: %Lx" (fun m -> Int64.logand m 0x4000L <> 0L))
+    (proc_status pid "SigCgt")
+
+(* [qsynth serve] answers from the moment its socket listens but installs
+   its SIGTERM handler only after that, so a SIGTERM sent right after the
+   first answer can kill it instead of draining it.  Before a launch is
+   stopped, wait (at most 10 s) for the handler.  True when the daemon
+   had answered before its handler was in place. *)
+let await_sigterm_handler pid =
+  let early = catches_sigterm pid = Some false in
+  let deadline = now () +. 10. in
+  while catches_sigterm pid = Some false && now () < deadline do
+    Thread.delay 0.001
+  done;
+  early
 
 (* the request index out of a response's leading ["id":"rN"] *)
 let id_of body =
@@ -636,31 +661,46 @@ let cmd_serve () =
   let socket = arg "socket" and trace_file = arg_opt "trace-file" in
   let traced = trace_file <> None in
   let log = arg "log" in
-  (* set-up: every launch but the last is stopped after its first
-     answer.  A launch that fails ends the run with [setup_error], which
-     run.py records as a failed gate. *)
+  (* set-up: [launches] daemons, each timed from spawn to its first
+     correct answer; every one but the last is stopped again.  A launch
+     that fails is listed in [setup_errors], which run.py records as a
+     failed gate, and the next launch goes ahead. *)
+  let errors = ref [] and early = ref 0 in
   let rec launch k acc =
     let t0 = now () in
     let pid = spawn_daemon ~qsynth ~socket ~trace_file ~log in
-    match first_answer pid ~socket ~traced with
-    | Error e -> Error (e, acc)
-    | Ok () ->
-        let acc = (now () -. t0) :: acc in
-        if k = 1 then Ok (pid, List.rev acc)
-        else if stop_daemon pid then launch (k - 1) acc
-        else Error ("daemon did not exit cleanly after start-up", acc)
+    let live =
+      match first_answer pid ~socket ~traced with
+      | Error e ->
+          errors := e :: !errors;
+          kill_daemon ();
+          None
+      | Ok () ->
+          let dt = now () -. t0 in
+          if await_sigterm_handler pid then incr early;
+          Some (pid, dt)
+    in
+    let acc = match live with Some (_, dt) -> dt :: acc | None -> acc in
+    if k = 1 then (Option.map fst live, List.rev acc)
+    else begin
+      (match live with
+      | Some (pid, _) when not (stop_daemon pid) ->
+          errors := "daemon did not exit cleanly on SIGTERM after start-up" :: !errors
+      | _ -> ());
+      launch (k - 1) acc
+    end
   in
-  match launch launches [] with
-  | Error (e, setup) ->
-      kill_daemon ();
-      print_endline
-        (Json.to_string
-           (Json.Obj
-              [
-                ("setup_error", Json.String e);
-                ("setup_s", Json.List (List.rev_map (fun s -> Json.Float s) setup));
-              ]))
-  | Ok (pid, setup) ->
+  let pid, setup = launch launches [] in
+  let setup_fields =
+    [
+      ("setup_s", Json.List (List.map (fun s -> Json.Float s) setup));
+      ("setup_errors", Json.List (List.rev_map (fun e -> Json.String e) !errors));
+      ("setup_before_sigterm_handler", Json.Int !early);
+    ]
+  in
+  match pid with
+  | None -> print_endline (Json.to_string (Json.Obj setup_fields))
+  | Some pid ->
   let l =
     run_load ~socket ~conns:(arg_int "conns") ~rps:(arg_float "rps")
       ~seconds:(arg_float "seconds") ~seed (draw workload seed)
@@ -691,8 +731,8 @@ let cmd_serve () =
   print_endline
     (Json.to_string
        (Json.Obj
-          [
-            ("setup_s", Json.List (List.map (fun s -> Json.Float s) setup));
+          (setup_fields
+          @ [
             ("sent", Json.Int n);
             ("answered", Json.Int answered);
             ("send_errors", Json.Int l.send_errors);
@@ -704,7 +744,7 @@ let cmd_serve () =
             ("latency_ms", Json.List (List.map (fun x -> Json.Float x) lat_ms));
             ("lateness_p99_ms", num (1000. *. percentile late 0.99));
             ("max_rps", num ladder);
-          ]))
+          ])))
 
 (* {1 layers: benchmark-side timers around each module's public calls} *)
 

@@ -360,17 +360,18 @@ def workload_build(seed, seconds, gates):
 
 
 # What a serve run reports when the daemon never got to take load.
-NOT_SERVED = {"setup_s": [], "sent": 0, "answered": 0, "send_errors": 0,
-              "error_bodies": 0, "checked": 0, "wrong": 0, "clean_exit": False,
-              "peak_rss_mb": None, "latency_ms": [], "lateness_p99_ms": None,
-              "max_rps": None}
+NOT_SERVED = {"setup_s": [], "setup_errors": ["probe failed"],
+              "setup_before_sigterm_handler": 0, "sent": 0, "answered": 0,
+              "send_errors": 0, "error_bodies": 0, "checked": 0, "wrong": 0,
+              "clean_exit": False, "peak_rss_mb": None, "latency_ms": [],
+              "lateness_p99_ms": None, "max_rps": None}
 
 
 def serve(workload, cfg, seed, seconds, launches, gates, trace_file=None,
           ladder=False):
-    """One daemon run through pb serve.  A daemon that exits during
+    """One daemon run through pb serve.  Each launch that exits during
     start-up, answers its first question wrongly or does not stop
-    cleanly between launches fails the serve.setup gate."""
+    cleanly is a failed operation and fails the serve.setup gate."""
     args = ["serve", "--qsynth", QSYNTH, "--index-dir", WORK,
             "--workload", workload, "--seed", str(seed),
             "--launches", str(launches), "--socket", os.path.join(WORK, "d.sock"),
@@ -382,12 +383,10 @@ def serve(workload, cfg, seed, seconds, launches, gates, trace_file=None,
         args += ["--trace-file", trace_file]
     if ladder:
         args += ["--ladder-limit-ms", str(cfg["p90_limit_ms"])]
-    r = pb_json(*args, gates=gates)
-    error = "probe failed" if r is None else r.get("setup_error")
-    gates.check("serve.setup", error is None, error)
-    r = {**NOT_SERVED, **(r or {})}
-    failed = (r["sent"] - r["answered"]) + r["error_bodies"] + r["wrong"] \
-        + int(not r["clean_exit"])
+    r = {**NOT_SERVED, **(pb_json(*args, gates=gates) or {})}
+    gates.check("serve.setup", not r["setup_errors"], r["setup_errors"])
+    failed = len(r["setup_errors"]) + (r["sent"] - r["answered"]) \
+        + r["error_bodies"] + r["wrong"] + int(not r["clean_exit"])
     return r, r["latency_ms"], failed
 
 
@@ -403,6 +402,9 @@ def serve_summary(r, lat, gates):
         "answered": r["answered"],
         "checked_byte_identical": r["checked"],
         "setup_samples_s": r["setup_s"],
+        # launches that answered before the daemon caught SIGTERM (see
+        # await_sigterm_handler in pb.ml)
+        "setup_before_sigterm_handler": r["setup_before_sigterm_handler"],
         "latency_p90_ms": number(percentile(lat, 0.9)),
         "latency_p99_ms": number(percentile(lat, 0.99)),
         "lateness_p99_ms": r["lateness_p99_ms"],
