@@ -3,10 +3,8 @@
    micro-benchmark per experiment, and finally writes the machine-readable
    perf artifact BENCH_10.json (named experiment timings + bechamel
    estimates + parallel-census rows for jobs = 1/2/4 with the effective
-   rank count + the checkpoint durability overhead row + quotient-vs-raw
-   census rows at depths 7 and 8 + distributed-census rows comparing
-   forked workers against the in-process BFS, clean and under injected
-   worker faults + query-latency rows comparing the forward BFS, the
+   rank count + quotient-vs-raw census rows at depths 7 and 8 +
+   query-latency rows comparing the forward BFS, the
    persistent census index and the meet-in-the-middle engine + the
    complete-index section (total-coverage build raw vs quotient, file
    size, heap vs mmap cold start, cost-8 probe p50/p99 against a warm
@@ -439,54 +437,6 @@ let reproduce_parallel_census () =
       (jobs, effective, dt, allocated, states, arena))
     [ 1; 2; 4 ]
 
-(* Checkpoint durability overhead: the BENCH_3 experiment.  Times the
-   depth-7 census with a snapshot written at every level boundary
-   (--checkpoint-every 1: seven saves, the largest covering all ~660k
-   states) against the plain census.  Snapshots store ~11 bytes of
-   metadata per state (keys are replayed from the gate log on load) and
-   are written by a background domain overlapping the next level's
-   expansion, so the target is < 5% overhead.  The arms are interleaved
-   (plain, checkpointed, plain, …) and each takes its best of 3, so both
-   see the same heap history and machine drift. *)
-let reproduce_checkpoint_overhead () =
-  hr "Checkpoint overhead: depth-7 census at --checkpoint-every 1 vs none";
-  let path = Filename.temp_file "qsynth_bench_ckpt" ".bin" in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let run_plain () = ignore (Fmcf.run ~max_depth:7 library3) in
-  let bytes = ref 0 in
-  let run_checkpointed () =
-    let census, reason =
-      Fmcf.run_guarded ~max_depth:7
-        ~on_level:(fun search ~cost:_ -> Checkpoint.save_async search path)
-        library3
-    in
-    Checkpoint.drain ();
-    if reason <> Fmcf.Completed then failwith "guarded census stopped early";
-    bytes := (Unix.stat path).Unix.st_size;
-    ignore (Fmcf.counts census)
-  in
-  let plain = ref infinity and checkpointed = ref infinity in
-  for _ = 1 to 3 do
-    let p = timed run_plain in
-    if p < !plain then plain := p;
-    let c = timed run_checkpointed in
-    if c < !checkpointed then checkpointed := c
-  done;
-  let plain = !plain and checkpointed = !checkpointed in
-  Sys.remove path;
-  let overhead = (checkpointed -. plain) /. plain in
-  timings := ("checkpoint-depth7/every=1", checkpointed) :: !timings;
-  timings := ("checkpoint-depth7/none", plain) :: !timings;
-  Format.printf
-    "plain: %7.3fs   checkpointed: %7.3fs   overhead: %+5.1f%%   snapshot: %.1f MB@."
-    plain checkpointed (100. *. overhead)
-    (float_of_int !bytes /. 1e6);
-  (plain, checkpointed, overhead, !bytes)
-
 (* Symmetry-quotiented census: the BENCH_7 experiment.  Runs the depth-7
    and depth-8 censuses raw and under --quotient behind the same 1 GiB
    arena guard, checks the function tables agree wherever both modes
@@ -556,183 +506,9 @@ let reproduce_quotient_census () =
     (bench2_baseline_seconds /. q7_dt);
   List.map (fun (d, q, dt, s, a, _, r) -> (d, q, dt, s, a, r)) rows
 
-(* Distributed census: the BENCH_8 experiment.  The coordinator/worker
-   engine (lib/synthesis/distrib.ml) runs real worker processes and
-   pays wire framing, transport CRCs and full delta validation on every
-   item, so the interesting questions are (a) what that robustness tax
-   costs next to the in-process BFS and (b) whether recovery stays cheap
-   when workers actually fail.  Depth-7 arms: single-process baseline,
-   1 and 2 workers (interleaved, best of 3), plus a faulted 2-worker
-   arm where each worker corrupts its first delta (rejected and
-   retried by validation) and crashes on its second item (reassignment,
-   then degradation to coordinator-only).  Depth-8 arms run single vs
-   2-worker behind the same 1 GiB arena guard the quotient experiment
-   uses.  Every distributed row must reproduce the baseline's function
-   table exactly — determinism is the engine's contract, faults or not.
-
-   Workers are spawned by exec'ing the real [qsynth census-worker]
-   binary (Spawn_cmd), exactly like [census --workers N] in production.
-   Distrib.Fork would be cheaper but cannot be used here: earlier
-   experiments in this harness spawn domains, and OCaml 5's Unix.fork
-   permanently refuses once any other domain has ever been created —
-   the endpoints would silently degrade to a coordinator-only run and
-   the "distributed" rows would measure inline expansion.  For the same
-   reason every arm asserts [workers_connected]: a row is only a
-   measurement of the distributed engine if its workers actually
-   handshook.  Faults are armed in the workers via QSYNTH_FAULT in the
-   spawned command's environment (an exec'd child does not inherit
-   Faultsim.configure state); the coordinator itself stays unarmed.
-
-   The wall-clock gate: a clean 2-worker depth-7 run must be within
-   [distrib_max_ratio] of single-process.  The gate only binds where
-   workers can run in parallel with the coordinator — on a single-core
-   host the whole pipeline serializes onto one CPU and the framing tax
-   has nothing to hide behind, so the ratio is recorded as measured and
-   the row reports the gate as skipped. *)
-let distrib_fault_spec = "worker_crash:2,delta_corrupt:1"
-let distrib_max_ratio = 1.25
-
-let qsynth_bin () =
-  let path =
-    Filename.concat (Filename.dirname Sys.executable_name) "../bin/qsynth.exe"
-  in
-  if not (Sys.file_exists path) then
-    failwith
-      (Printf.sprintf
-         "distributed census bench needs the qsynth binary at %s — run `dune \
-          build` first"
-         path);
-  path
-
-let reproduce_distributed_census () =
-  hr "Distributed census: spawned workers vs in-process BFS";
-  let parallel_capable = Domain.recommended_domain_count () >= 2 in
-  let bin = qsynth_bin () in
-  let worker_cmd ?faults () =
-    match faults with
-    | None -> Printf.sprintf "exec %s census-worker" bin
-    | Some spec -> Printf.sprintf "QSYNTH_FAULT=%s exec %s census-worker" spec bin
-  in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let single depth =
-    timed (fun () ->
-        Fmcf.run_guarded ~max_depth:depth ~max_mem:quotient_mem_guard library3)
-  in
-  let distributed ?faults ~workers depth =
-    let cmd = worker_cmd ?faults () in
-    let dt, ((_, _, stats) as r) =
-      timed (fun () ->
-          Distrib.census ~max_depth:depth ~max_mem:quotient_mem_guard
-            ~workers:(List.init workers (fun _ -> Distrib.Spawn_cmd cmd))
-            library3)
-    in
-    if stats.Distrib.workers_connected <> workers then
-      failwith
-        (Printf.sprintf
-           "only %d of %d workers handshook — the row would measure inline \
-            degradation, not the distributed engine"
-           stats.Distrib.workers_connected workers);
-    (dt, r)
-  in
-  (* label, depth, workers, faulted, seconds, states, reason, stats *)
-  let rows = ref [] in
-  let print_row label dt states reason =
-    Format.printf "%-24s %7.3fs, %8d states, %s@." label dt states
-      (Fmcf.describe_stop reason)
-  in
-  let record ~label ~depth ~workers ~faulted dt census reason stats =
-    let states = Search.size (Fmcf.search census) in
-    timings := (Printf.sprintf "distrib/%s" label, dt) :: !timings;
-    print_row label dt states reason;
-    rows := (label, depth, workers, faulted, dt, states, reason, stats) :: !rows
-  in
-  (* Depth 7: interleaved best-of-3 over the three clean arms. *)
-  let best = Array.make 3 (infinity, None) in
-  for _ = 1 to 3 do
-    List.iteri
-      (fun i run ->
-        let dt, r = run () in
-        if dt < fst best.(i) then best.(i) <- (dt, Some r))
-      [
-        (fun () ->
-          let dt, (c, reason) = single 7 in
-          (dt, (c, reason, None)));
-        (fun () ->
-          let dt, (c, reason, s) = distributed ~workers:1 7 in
-          (dt, (c, reason, Some s)));
-        (fun () ->
-          let dt, (c, reason, s) = distributed ~workers:2 7 in
-          (dt, (c, reason, Some s)));
-      ]
-  done;
-  let arm i =
-    match best.(i) with dt, Some r -> (dt, r) | _, None -> assert false
-  in
-  let base_dt, (base_census, base_reason, _) = arm 0 in
-  record ~label:"census-d7/single" ~depth:7 ~workers:0 ~faulted:false base_dt
-    base_census base_reason None;
-  if base_reason <> Fmcf.Completed then
-    failwith "single-process depth-7 census did not complete";
-  let baseline_counts = Fmcf.counts base_census in
-  let check_identity label census reason =
-    if reason <> base_reason then
-      failwith (Printf.sprintf "%s: stop reason diverged from baseline" label);
-    if Fmcf.counts census <> baseline_counts then
-      failwith (Printf.sprintf "%s: diverged from the single-process census" label)
-  in
-  List.iter
-    (fun (i, workers) ->
-      let dt, (census, reason, stats) = arm i in
-      let label = Printf.sprintf "census-d7/workers=%d" workers in
-      check_identity label census reason;
-      (match stats with
-      | Some s when s.Distrib.worker_deaths > 0 || s.Distrib.rejected_deltas > 0 ->
-          failwith (label ^ ": clean arm saw deaths or rejected deltas")
-      | _ -> ());
-      record ~label ~depth:7 ~workers ~faulted:false dt census reason stats)
-    [ (1, 1); (2, 2) ];
-  let ratio_2w = fst (arm 2) /. base_dt in
-  if parallel_capable && ratio_2w > distrib_max_ratio then
-    failwith
-      (Printf.sprintf
-         "clean 2-worker census is %.2fx single-process, need <= %.2fx" ratio_2w
-         distrib_max_ratio);
-  Format.printf "clean 2-worker ratio: %.2fx (gate %s at %.2fx)@." ratio_2w
-    (if parallel_capable then "enforced" else "skipped: single-core host")
-    distrib_max_ratio;
-  (* Depth 7 under injected faults: one rep — recovery time is the point.
-     The spec rides into each worker via QSYNTH_FAULT in its command. *)
-  let dt, (census, reason, stats) =
-    distributed ~faults:distrib_fault_spec ~workers:2 7
-  in
-  check_identity "census-d7/faulted" census reason;
-  if stats.Distrib.rejected_deltas = 0 || stats.Distrib.worker_deaths = 0 then
-    failwith "faulted arm: injected faults did not fire";
-  Format.printf
-    "faulted arm recovery: %d retries, %d reassignments, %d rejected deltas, \
-     %d worker deaths@."
-    stats.Distrib.retries stats.Distrib.reassignments
-    stats.Distrib.rejected_deltas stats.Distrib.worker_deaths;
-  record ~label:"census-d7/workers=2+faults" ~depth:7 ~workers:2 ~faulted:true
-    dt census reason (Some stats);
-  (* Depth 8 behind the arena guard, single rep per arm. *)
-  let dt8, (census8, reason8) = single 8 in
-  record ~label:"census-d8/single" ~depth:8 ~workers:0 ~faulted:false dt8
-    census8 reason8 None;
-  let dt, (census, reason, stats) = distributed ~workers:2 8 in
-  if Fmcf.counts census <> Fmcf.counts census8 || reason <> reason8 then
-    failwith "census-d8/workers=2: diverged from the single-process census";
-  record ~label:"census-d8/workers=2" ~depth:8 ~workers:2 ~faulted:false dt
-    census reason (Some stats);
-  (parallel_capable, ratio_2w, List.rev !rows)
-
 (* Query latency: the BENCH_4 experiment.  One synthesis question, three
    plans: the forward BFS of the paper, a binary search over the
-   persistent census index (round-tripped through the QSYNIDX1 file so
+   persistent census index (round-tripped through the QSYNIDX2 file so
    the timed path is what a CLI user loads, validation included in the
    load but not the lookup), and the meet-in-the-middle engine over a
    warm shared context (the realistic shape for the second and later
@@ -1263,37 +1039,10 @@ let reproduce_nft_census () =
   let paper18 = run "paper18" library3 in
   (nft, paper18)
 
-let write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows ~checkpoint_row
-    ~quotient_rows ~distrib ~query_rows ~complete_index ~server_latency
-    ~server_load ~nft_census path =
+let write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows
+    ~quotient_rows ~query_rows ~complete_index ~server_latency ~server_load
+    ~nft_census path =
   let open Telemetry in
-  let distrib_capable, distrib_ratio, distrib_rows = distrib in
-  let distrib_row_json (label, depth, workers, faulted, dt, states, reason, stats) =
-    Json.Obj
-      ([
-         ("label", Json.String label);
-         ("depth", Json.Int depth);
-         ("workers", Json.Int workers);
-         ("faulted", Json.Bool faulted);
-         ("seconds", Json.Float dt);
-         ("states", Json.Int states);
-         ("stop_reason", Json.String (Fmcf.describe_stop reason));
-       ]
-      @
-      match stats with
-      | None -> []
-      | Some s ->
-          [
-            ("workers_connected", Json.Int s.Distrib.workers_connected);
-            ("items", Json.Int s.Distrib.items);
-            ("inline_items", Json.Int s.Distrib.inline_items);
-            ("retries", Json.Int s.Distrib.retries);
-            ("reassignments", Json.Int s.Distrib.reassignments);
-            ("rejected_deltas", Json.Int s.Distrib.rejected_deltas);
-            ("worker_deaths", Json.Int s.Distrib.worker_deaths);
-          ])
-  in
-  let plain, checkpointed, overhead, snapshot_bytes = checkpoint_row in
   let server_warm_depth, server_rows = server_latency in
   let server_row_json (name, warm_samples, wp50, wp99, cold_samples, cp50, cp99) =
     Json.Obj
@@ -1385,29 +1134,6 @@ let write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows ~checkpoi
                              Json.String (Fmcf.describe_stop reason) );
                          ])
                      quotient_rows) );
-            ] );
-        ( "distributed_census",
-          Json.Obj
-            [
-              ("fault_spec", Json.String distrib_fault_spec);
-              ("max_ratio", Json.Float distrib_max_ratio);
-              ("parallel_capable", Json.Bool distrib_capable);
-              ("clean_2worker_ratio", Json.Float distrib_ratio);
-              ( "ratio_gate",
-                Json.String
-                  (if distrib_capable then "enforced" else "skipped_single_core")
-              );
-              ("rows", Json.List (List.map distrib_row_json distrib_rows));
-            ] );
-        ( "checkpoint_overhead",
-          Json.Obj
-            [
-              ("depth", Json.Int 7);
-              ("every", Json.Int 1);
-              ("plain_seconds", Json.Float plain);
-              ("checkpointed_seconds", Json.Float checkpointed);
-              ("overhead_ratio", Json.Float overhead);
-              ("snapshot_bytes", Json.Int snapshot_bytes);
             ] );
         ("query_latency", Json.List (List.map query_json query_rows));
         ( "complete_index",
@@ -1514,12 +1240,10 @@ let () =
   let server_latency = reproduce_server_latency census in
   let server_load = reproduce_server_load census in
   let parallel_rows = reproduce_parallel_census () in
-  let checkpoint_row = reproduce_checkpoint_overhead () in
   let quotient_rows = reproduce_quotient_census () in
-  let distrib = reproduce_distributed_census () in
   let nft_census = experiment "ext/nft-census" reproduce_nft_census in
   let bechamel_rows = run_bechamel () in
   let path = try Sys.getenv "BENCH_OUT" with Not_found -> "BENCH_10.json" in
-  write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows ~checkpoint_row
-    ~quotient_rows ~distrib ~query_rows ~complete_index ~server_latency
-    ~server_load ~nft_census path
+  write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows
+    ~quotient_rows ~query_rows ~complete_index ~server_latency ~server_load
+    ~nft_census path

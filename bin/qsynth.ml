@@ -8,8 +8,7 @@ open Synthesis
 
    0 success; 1 runtime error; 2 usage error; 124 wall-clock budget
    expired (partial census); 125 state/memory budget reached (partial
-   census); 130 interrupted by SIGINT/SIGTERM after the final checkpoint
-   was written.  See doc/ROBUSTNESS.md. *)
+   census); 130 interrupted by SIGINT/SIGTERM.  See doc/ROBUSTNESS.md. *)
 
 let exit_ok = 0
 let exit_runtime = 1
@@ -23,7 +22,7 @@ let contract_exits =
     Cmd.Exit.info exit_ok ~doc:"on success.";
     Cmd.Exit.info exit_runtime
       ~doc:
-        "on runtime errors: corrupt or mismatched snapshots, invalid \
+        "on runtime errors: corrupt or mismatched index files, invalid \
          specifications, I/O failures, injected faults.";
     Cmd.Exit.info exit_usage ~doc:"on command-line parse errors.";
     Cmd.Exit.info exit_timeout
@@ -33,9 +32,7 @@ let contract_exits =
         "when $(b,--max-states) or $(b,--max-mem) was reached; the reported \
          census is partial.";
     Cmd.Exit.info exit_interrupt
-      ~doc:
-        "when interrupted (SIGINT/SIGTERM); the final checkpoint, if \
-         requested, was written first.";
+      ~doc:"when interrupted (SIGINT/SIGTERM); the reported census is partial.";
   ]
 
 (* The single error boundary: every subcommand body runs under [guarded],
@@ -46,8 +43,8 @@ let guarded ?(finish = fun () -> ()) f =
   Fun.protect ~finally:finish @@ fun () ->
   let fail fmt = Format.kasprintf (fun m -> Format.eprintf "qsynth: %s@." m; exit_runtime) fmt in
   try f () with
-  | Checkpoint.Corrupt msg -> fail "snapshot is corrupt: %s" msg
-  | Checkpoint.Mismatch msg -> fail "snapshot mismatch: %s" msg
+  | Durable.Corrupt msg -> fail "file is corrupt: %s" msg
+  | Durable.Mismatch msg -> fail "file mismatch: %s" msg
   | Faultsim.Injected point -> fail "injected fault %S fired (QSYNTH_FAULT)" point
   | Invalid_argument msg | Failure msg | Sys_error msg -> fail "%s" msg
   | Unix.Unix_error (e, fn, arg) ->
@@ -174,31 +171,31 @@ let pos_float ~what =
   in
   Arg.conv (parse, Format.pp_print_float)
 
-(* Checkpoint destinations are validated at parse time so a doomed run
-   fails before the search starts, not hours into it. *)
-let checkpoint_path =
+(* Output destinations are validated at parse time so a doomed run
+   fails before the search starts, not after it. *)
+let output_path =
   let parse path =
     let dir = Filename.dirname path in
     if not (Sys.file_exists dir) then
-      Error (`Msg (Printf.sprintf "checkpoint directory %s does not exist" dir))
+      Error (`Msg (Printf.sprintf "output directory %s does not exist" dir))
     else if not (Sys.is_directory dir) then
-      Error (`Msg (Printf.sprintf "checkpoint directory %s is not a directory" dir))
+      Error (`Msg (Printf.sprintf "output directory %s is not a directory" dir))
     else if Sys.file_exists path && Sys.is_directory path then
-      Error (`Msg (Printf.sprintf "checkpoint path %s is a directory" path))
+      Error (`Msg (Printf.sprintf "output path %s is a directory" path))
     else
       match Unix.access dir [ Unix.W_OK ] with
       | () -> Ok path
       | exception Unix.Unix_error _ ->
-          Error (`Msg (Printf.sprintf "checkpoint directory %s is not writable" dir))
+          Error (`Msg (Printf.sprintf "output directory %s is not writable" dir))
   in
   Arg.conv (parse, Format.pp_print_string)
 
-let snapshot_path =
+let input_path =
   let parse path =
     if not (Sys.file_exists path) then
-      Error (`Msg (Printf.sprintf "snapshot %s does not exist" path))
+      Error (`Msg (Printf.sprintf "file %s does not exist" path))
     else if Sys.is_directory path then
-      Error (`Msg (Printf.sprintf "snapshot path %s is a directory" path))
+      Error (`Msg (Printf.sprintf "path %s is a directory" path))
     else Ok path
   in
   Arg.conv (parse, Format.pp_print_string)
@@ -263,7 +260,7 @@ let print_quotient_stats census =
             "  canonicalization: %d expansions collapsed onto %d stored \
              representatives@."
             (hits + news) news
-      | _ -> (* resumed engines only tally levels run after the resume *) ())
+      | _ -> ())
   | None ->
       (* Raw arena: canonicalize each state's binary image after the fact. *)
       let sym = Symmetry.create library in
@@ -305,16 +302,8 @@ let print_quotient_stats census =
 
 let census_cmd =
   let run finish_telemetry qubits depth jobs library_name paper_variant quotient
-      stats save emit_index complete checkpoint every resume max_states max_mem
-      timeout workers worker_cmd attach =
-    (* An async checkpoint write may be in flight when an exception
-       escapes; let it finish (best effort) so the file keeps the last
-       boundary — the primary error is what gets reported. *)
-    let finish () =
-      (try Checkpoint.drain () with _ -> ());
-      finish_telemetry ()
-    in
-    guarded ~finish @@ fun () ->
+      stats save emit_index complete max_states max_mem timeout =
+    guarded ~finish:finish_telemetry @@ fun () ->
     let library = Library.of_name ~qubits library_name in
     if paper_variant && not (Library.coset_reduction library) then
       failwith
@@ -328,95 +317,14 @@ let census_cmd =
          printed counts depend on duplicate candidates within a level, which \
          a one-representative-per-orbit arena never re-materializes (the \
          exact counts, |S8[k]| and all witnesses are identical in both modes)";
-    let last_saved = ref (-1) in
-    let resume_search =
-      match resume with
-      | None -> (
-          match checkpoint with
-          | Some path when not (Sys.file_exists path) ->
-              (* Seed the checkpoint at level 0 before searching, so a
-                 crash at any point of the run leaves a resumable file. *)
-              let symmetry =
-                if quotient then Some (Symmetry.create library) else None
-              in
-              let s = Search.create ~jobs ?symmetry library in
-              Checkpoint.save s path;
-              last_saved := 0;
-              Some s
-          | Some _ | None -> None)
-      | Some path ->
-          let h = Checkpoint.peek path in
-          if h.Checkpoint.depth > depth then
-            failwith
-              (Printf.sprintf
-                 "snapshot %s is already at level %d, beyond --depth %d; pass a \
-                  deeper --depth to continue it"
-                 path h.Checkpoint.depth depth);
-          (* The snapshot's own mode wins: a v2 file resumes quotiented,
-             a v1 file resumes raw, whatever --quotient says. *)
-          (match (h.Checkpoint.symmetry, quotient) with
-          | None, true ->
-              Format.eprintf
-                "warning: %s is a raw (v1) snapshot; resuming unquotiented@." path
-          | Some _, false ->
-              Format.eprintf
-                "warning: %s is a quotient (v2) snapshot; resuming quotiented@."
-                path
-          | _ -> ());
-          Some (Checkpoint.load ~jobs library path)
-    in
     let should_stop = install_cancel () in
-    let save_checkpoint search =
-      match checkpoint with
-      | Some path when Search.depth search <> !last_saved ->
-          Checkpoint.save search path;
-          last_saved := Search.depth search
-      | Some _ | None ->
-          (* Nothing new to write, but the last async write must land
-             before we report success. *)
-          Checkpoint.drain ()
-    in
-    let on_level search ~cost =
-      match checkpoint with
-      | Some path when cost mod every = 0 ->
-          Checkpoint.save_async search path;
-          last_saved := cost
-      | Some _ | None -> ()
-    in
-    let endpoints =
-      List.map (fun a -> Distrib.Attach a) attach
-      @ List.init workers (fun _ ->
-            match worker_cmd with
-            | Some cmd -> Distrib.Spawn_cmd cmd
-            | None -> Distrib.Spawn_self)
-    in
-    if endpoints <> [] && jobs > 1 then
-      Format.eprintf
-        "warning: --jobs is ignored in distributed mode (--workers/--attach); \
-         the coordinator merges deltas sequentially@.";
     let t0 = Unix.gettimeofday () in
-    let census, reason, dstats =
-      match endpoints with
-      | [] ->
-          let census, reason =
-            Fmcf.run_guarded ~max_depth:depth ~jobs ~quotient
-              ?resume:resume_search ?max_states ?max_mem ?timeout ~should_stop
-              ~on_level library
-          in
-          (census, reason, None)
-      | _ :: _ ->
-          let census, reason, dstats =
-            Distrib.census ~max_depth:depth ~quotient ?resume:resume_search
-              ?max_states ?max_mem ?timeout ~should_stop ~on_level
-              ~workers:endpoints library
-          in
-          (census, reason, Some dstats)
+    let census, reason =
+      Fmcf.run_guarded ~max_depth:depth ~jobs ~quotient ?max_states ?max_mem
+        ?timeout ~should_stop library
     in
     let elapsed = Unix.gettimeofday () -. t0 in
     let reached = Search.depth (Fmcf.search census) in
-    (* final checkpoint at the boundary we stopped on, whatever the
-       reason — interrupted runs keep their progress *)
-    save_checkpoint (Fmcf.search census);
     let note =
       match reason with
       | Fmcf.Completed -> None
@@ -531,16 +439,6 @@ let census_cmd =
       (Search.size (Fmcf.search census))
       elapsed;
     if stats then print_quotient_stats census;
-    (match dstats with
-    | Some d ->
-        Format.printf
-          "distributed: %d/%d workers; %d items (%d inline); %d retries, %d \
-           reassignments, %d rejected deltas, %d worker deaths@."
-          d.Distrib.workers_connected d.Distrib.workers_requested
-          d.Distrib.items d.Distrib.inline_items d.Distrib.retries
-          d.Distrib.reassignments d.Distrib.rejected_deltas
-          d.Distrib.worker_deaths
-    | None -> ());
     (match note with
     | Some n -> Format.printf "*** %s ***@." n
     | None -> ());
@@ -564,8 +462,7 @@ let census_cmd =
                  see doc/PERFORMANCE.md, 'Symmetry quotient').  The arena \
                  stores ~200x fewer states at depth 7 and every reported \
                  count, member, witness cascade and emitted index is \
-                 byte-identical to the unquotiented run.  Checkpoints are \
-                 written in the v2 format and resume quotiented.")
+                 byte-identical to the unquotiented run.")
   in
   let stats_flag =
     Arg.(value & flag & info [ "stats" ]
@@ -582,7 +479,7 @@ let census_cmd =
                  '# PARTIAL' comment.")
   in
   let emit_index_arg =
-    Arg.(value & opt (some checkpoint_path) None & info [ "emit-index" ] ~docv:"FILE"
+    Arg.(value & opt (some output_path) None & info [ "emit-index" ] ~docv:"FILE"
            ~doc:"Write a persistent census index (function -> exact cost + \
                  witness cascade, QSYNIDX2 format, written atomically) to \
                  $(docv).  Later $(b,qsynth synth --index) runs answer indexed \
@@ -601,26 +498,9 @@ let census_cmd =
                  cost spectrum, and mark the $(b,--emit-index) file complete — \
                  a daemon serving it answers every realizable request from \
                  the index alone.  The emitted bytes are identical across \
-                 $(b,--jobs), $(b,--workers) and $(b,--quotient).  Requires a \
+                 $(b,--jobs) and $(b,--quotient).  Requires a \
                  census that ran to completion (not stopped by budget or \
                  timeout).")
-  in
-  let checkpoint_arg =
-    Arg.(value & opt (some checkpoint_path) None & info [ "checkpoint" ] ~docv:"FILE"
-           ~doc:"Write a crash-safe snapshot of the search to $(docv) at level \
-                 boundaries (atomically: temp file + rename), and a final one \
-                 on any early stop.  Resume with $(b,--resume).")
-  in
-  let every_arg =
-    Arg.(value & opt (pos_int ~what:"K") 1 & info [ "checkpoint-every" ] ~docv:"K"
-           ~doc:"Snapshot every $(docv)-th level (default 1: every level).")
-  in
-  let resume_arg =
-    Arg.(value & opt (some snapshot_path) None & info [ "resume" ] ~docv:"FILE"
-           ~doc:"Restore the search from a snapshot written by $(b,--checkpoint) \
-                 and continue to --depth.  The resumed census is identical to an \
-                 uninterrupted run's.  The snapshot must come from the same gate \
-                 library (checked by fingerprint).")
   in
   let max_states_arg =
     Arg.(value & opt (some (pos_int ~what:"N")) None & info [ "max-states" ] ~docv:"N"
@@ -640,61 +520,14 @@ let census_cmd =
                    half-expanded level cleanly; the census is reported as \
                    partial (exit 124).")
   in
-  let workers_arg =
-    Arg.(value & opt int 0 & info [ "workers" ] ~docv:"N"
-           ~doc:"Distribute each level's expansion across $(docv) worker \
-                 processes (spawned as $(b,qsynth census-worker) over a \
-                 socketpair, or with $(b,--worker-cmd)).  The merged result \
-                 is byte-identical to a single-process run; crashed, stalled \
-                 or corrupt workers are retried, reassigned, and ultimately \
-                 expanded inline by the coordinator (doc/ROBUSTNESS.md, \
-                 'Distributed census').  Default 0: in-process search.")
-  in
-  let worker_cmd_arg =
-    Arg.(value & opt (some string) None & info [ "worker-cmd" ] ~docv:"CMD"
-           ~doc:"Spawn each $(b,--workers) worker as $(b,sh -c) $(docv) \
-                 instead of re-executing this binary; the command must speak \
-                 the worker protocol on stdin/stdout (e.g. \
-                 'ssh host qsynth census-worker').")
-  in
-  let attach_arg =
-    Arg.(value & opt_all string [] & info [ "attach" ] ~docv:"ADDR"
-           ~doc:"Attach a worker already listening at $(docv) (unix:PATH or \
-                 HOST:PORT, started with $(b,qsynth census-worker --listen)).  \
-                 Repeatable; combines with $(b,--workers).")
-  in
   Cmd.v
     (Cmd.info "census" ~exits:contract_exits
        ~doc:"Reproduce Table 2: |G[k]| for k = 0..depth.")
     Term.(
       const run $ telemetry_term $ qubits_arg $ depth_arg $ jobs_arg
       $ library_arg $ paper_flag $ quotient_flag $ stats_flag $ save_arg
-      $ emit_index_arg $ complete_flag $ checkpoint_arg $ every_arg
-      $ resume_arg $ max_states_arg $ max_mem_arg $ timeout_arg $ workers_arg
-      $ worker_cmd_arg $ attach_arg)
-
-(* The worker half of the distributed census: speaks the QSYNDST1
-   protocol on stdin/stdout (the spawn path) or on a single accepted
-   connection (--listen, the attach path).  Hidden from help — it is an
-   implementation detail of `census --workers`. *)
-let census_worker_cmd =
-  let run listen =
-    guarded @@ fun () ->
-    (match listen with
-    | Some addr -> Distrib.worker_listen addr
-    | None -> Distrib.worker_main Unix.stdin Unix.stdout);
-    exit_ok
-  in
-  let listen_arg =
-    Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"ADDR"
-           ~doc:"Bind $(docv) (unix:PATH or HOST:PORT), accept one \
-                 coordinator connection, serve it, and exit.  Without this \
-                 flag the worker speaks the protocol on stdin/stdout.")
-  in
-  Cmd.v
-    (Cmd.info "census-worker" ~docs:Manpage.s_none ~exits:contract_exits
-       ~doc:"(internal) worker process for $(b,qsynth census --workers).")
-    Term.(const run $ listen_arg)
+      $ emit_index_arg $ complete_flag $ max_states_arg $ max_mem_arg
+      $ timeout_arg)
 
 (* {1 The unified query surface}
 
@@ -785,7 +618,7 @@ let warm_depth_arg =
   Arg.(value & opt int 0 & info [ "warm-depth" ] ~docv:"D" ~doc)
 
 let index_arg =
-  Arg.(value & opt (some snapshot_path) None & info [ "index" ] ~docv:"FILE"
+  Arg.(value & opt (some input_path) None & info [ "index" ] ~docv:"FILE"
          ~doc:"Answer from a census index written by $(b,qsynth census \
                --emit-index): an indexed function costs one binary search \
                (no BFS at all), and a miss proves the cost exceeds the index \
@@ -816,7 +649,7 @@ let synth_cmd =
     let library = Library.of_name ~qubits library_name in
     let should_stop = install_cancel () in
     (* the load validates magic/CRC/fingerprints/structure (and witnesses
-       per --verify-index) and raises Checkpoint.Corrupt/Mismatch —
+       per --verify-index) and raises Durable.Corrupt/Mismatch —
        mapped to exit 1 by [guarded] *)
     let verify =
       if verify_index then Census_index.Full else Census_index.Sample
@@ -975,34 +808,37 @@ let serve_cmd =
       Format.printf "libraries: %s@."
         (String.concat ", " (Server.Service.libraries service));
     service_ref := Some service;
+    (* The handlers go in before [Daemon.start] binds the socket: clients
+       (and supervisors) act as soon as the socket file exists, and a
+       SIGTERM from then on must drain the daemon, never kill it.
+       SIGTERM/SIGINT request the drain; SIGUSR1 dumps a live snapshot
+       to the --metrics path, SIGHUP hot-reloads the census index — both
+       without restarting.  Every handler is restored on every exit
+       path. *)
+    let stop_requested = Atomic.make false in
+    let usr1 = Atomic.make false in
+    let hup = Atomic.make false in
+    let install (s, flag) =
+      match Sys.signal s (Sys.Signal_handle (fun _ -> Atomic.set flag true)) with
+      | previous -> Some (s, previous)
+      | exception Invalid_argument _ -> None
+    in
+    let previous =
+      List.filter_map install
+        [ (Sys.sigterm, stop_requested); (Sys.sigint, stop_requested);
+          (Sys.sigusr1, usr1); (Sys.sighup, hup) ]
+    in
+    Fun.protect ~finally:(fun () ->
+        List.iter
+          (fun (s, b) -> try Sys.set_signal s b with Invalid_argument _ -> ())
+          previous)
+    @@ fun () ->
     let daemon =
       Server.Daemon.start ~workers ~queue_capacity ?slow_ms
         ~trace:(trace_file <> None) ~socket service
     in
     daemon_ref := Some daemon;
     Atomic.set accepting true;
-    (* Park until SIGTERM/SIGINT requests the drain; SIGUSR1 dumps a
-       live snapshot to the --metrics path, SIGHUP hot-reloads the
-       census index — both without restarting. *)
-    let stop_requested = Atomic.make false in
-    let usr1 = Atomic.make false in
-    let hup = Atomic.make false in
-    let previous =
-      List.map
-        (fun s ->
-          ( s,
-            Sys.signal s
-              (Sys.Signal_handle (fun _ -> Atomic.set stop_requested true)) ))
-        [ Sys.sigterm; Sys.sigint ]
-    in
-    (try
-       Sys.set_signal Sys.sigusr1
-         (Sys.Signal_handle (fun _ -> Atomic.set usr1 true))
-     with Invalid_argument _ -> ());
-    (try
-       Sys.set_signal Sys.sighup
-         (Sys.Signal_handle (fun _ -> Atomic.set hup true))
-     with Invalid_argument _ -> ());
     (* One structured line per reload attempt, success or failure, so
        operators can grep the daemon's stderr for reload outcomes. *)
     let log_reload fields =
@@ -1033,12 +869,12 @@ let serve_cmd =
                   ("coverage", Telemetry.Json.Int coverage);
                   ("complete", Telemetry.Json.Bool complete) ]
           | exception
-              (( Checkpoint.Corrupt msg | Checkpoint.Mismatch msg
+              (( Durable.Corrupt msg | Durable.Mismatch msg
                | Sys_error msg ) as exn) ->
               let kind =
                 match exn with
-                | Checkpoint.Corrupt _ -> "corrupt"
-                | Checkpoint.Mismatch _ -> "mismatch"
+                | Durable.Corrupt _ -> "corrupt"
+                | Durable.Mismatch _ -> "mismatch"
                 | _ -> "io"
               in
               log_reload
@@ -1074,9 +910,6 @@ let serve_cmd =
         Telemetry.set_jsonl None;
         close_out oc)
       trace_oc;
-    List.iter
-      (fun (s, b) -> try Sys.set_signal s b with Invalid_argument _ -> ())
-      previous;
     exit_ok
   in
   let workers_arg =
@@ -1734,7 +1567,7 @@ let libraries_cmd =
         let lib = Library.Registry.instantiate ~qubits d in
         Format.printf "%-10s %6d %6d  %016Lx  %s@."
           (Library.Registry.name d) qubits (Library.size lib)
-          (Checkpoint.fingerprint lib)
+          (Library.fingerprint lib)
           (Library.Registry.summary d))
       Library.Registry.all;
     exit_ok
@@ -1742,26 +1575,14 @@ let libraries_cmd =
   Cmd.v
     (Cmd.info "libraries"
        ~doc:"List the registered gate libraries: name, gate count and the \
-             structural fingerprint that checkpoints, census indexes and \
-             distributed-census deltas are validated against.  Any listed \
-             name is a valid $(b,--library) argument to census, synth, \
-             spectrum, serve and batch.")
+             structural fingerprint that census indexes are validated \
+             against.  Any listed name is a valid $(b,--library) argument \
+             to census, synth, spectrum, serve and batch.")
     Term.(const run $ qubits_arg)
 
 (* Known fault-injection points; kept in sync with the Faultsim.hit call
    sites (see doc/ROBUSTNESS.md). *)
-let fault_points =
-  [
-    "checkpoint";
-    "grow";
-    "merge";
-    (* distributed census (lib/synthesis/distrib.ml); the worker-side
-       points arm in the worker process via the inherited environment *)
-    "worker_crash";
-    "delta_corrupt";
-    "worker_stall";
-    "reply_drop";
-  ]
+let fault_points = [ "write_atomic" ]
 
 (* QSYNTH_FAULT is validated before any command runs: a typo'd spec is a
    usage error (exit 2) with a diagnostic, never a silently disarmed
@@ -1795,7 +1616,6 @@ let () =
     Cmd.group info
       [
             census_cmd;
-            census_worker_cmd;
             synth_cmd;
             serve_cmd;
             query_cmd;

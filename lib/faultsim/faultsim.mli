@@ -1,28 +1,24 @@
 (** Deterministic fault injection for durability testing.
 
-    The engine and the checkpoint writer declare named {e hit points}
-    ([Faultsim.hit "merge"], ...) on the paths whose failure we want to
-    prove survivable.  In normal operation a hit point is a single load
-    of an immutable [bool]; nothing else happens.
+    Code declares named {e hit points} ([Faultsim.hit "write_atomic"])
+    on the paths whose failure we want to prove survivable.  In normal
+    operation a hit point is a single load of an immutable [bool];
+    nothing else happens.
 
     Arming is deterministic and keyed by a [point:count] spec — the fault
     fires on exactly the [count]-th execution of [point] (1-based),
     raising {!Injected}.  The spec comes either from the
     [QSYNTH_FAULT] environment variable (read once at module
     initialization, so child processes inherit the behaviour) or from
-    {!configure} (tests).  Because both the BFS engine and the counter
-    are deterministic, [QSYNTH_FAULT=merge:3] kills the same instruction
-    of the same level on every run.
+    {!configure} (tests).  Because the counter is deterministic,
+    [QSYNTH_FAULT=write_atomic:2] fires at the same write on every
+    run.
 
-    Fault-point catalog (see doc/ROBUSTNESS.md):
-    - ["merge"]    — once per BFS level, at the frontier merge of
-      {!Synthesis.Search}[.step_handles]: a crash mid-level;
-    - ["grow"]     — once per shard growth of
-      {!Synthesis.State_arena}: a crash at the allocation edge (the
-      OOM-adjacent path);
-    - ["checkpoint"] — in {!Synthesis.Checkpoint}[.save], after the
-      temp file is fully written but {e before} the atomic rename: a
-      crash that must leave any previous snapshot intact. *)
+    Fault-point catalog (see doc/ROBUSTNESS.md) — a single point:
+    - ["write_atomic"] — in {!Synthesis.Durable}[.write_atomic] (every
+      census-index save), after the temp file is fully written and
+      fsynced but {e before} the atomic rename: a crash that must leave
+      any previous file at the target path intact. *)
 
 (** Raised by {!hit} when the armed point reaches its trigger count.
     The payload is the point name. *)

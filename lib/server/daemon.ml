@@ -459,12 +459,11 @@ let wait t =
     Log.app (fun m -> m "drained: every accepted request answered")
   end
 
+(* The handlers are installed before [start] binds the socket, so a
+   SIGTERM arriving once the socket exists always drains instead of
+   killing the process, and they are restored on every exit path. *)
 let run ?workers ?queue_capacity ?max_frame ?slow_ms ?slow_oc ?trace ~socket
     service =
-  let t =
-    start ?workers ?queue_capacity ?max_frame ?slow_ms ?slow_oc ?trace ~socket
-      service
-  in
   let requested = Atomic.make false in
   let previous =
     List.map
@@ -472,9 +471,15 @@ let run ?workers ?queue_capacity ?max_frame ?slow_ms ?slow_oc ?trace ~socket
         (s, Sys.signal s (Sys.Signal_handle (fun _ -> Atomic.set requested true))))
       [ Sys.sigterm; Sys.sigint ]
   in
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun (s, b) -> try Sys.set_signal s b with Invalid_argument _ -> ()) previous)
+  @@ fun () ->
+  let t =
+    start ?workers ?queue_capacity ?max_frame ?slow_ms ?slow_oc ?trace ~socket
+      service
+  in
   while not (Atomic.get requested) do
     Thread.delay 0.05
   done;
   stop t;
-  wait t;
-  List.iter (fun (s, b) -> try Sys.set_signal s b with Invalid_argument _ -> ()) previous
+  wait t

@@ -65,8 +65,11 @@ val wait : t -> unit
 
 (** [run ?workers ?queue_capacity ?max_frame ?slow_ms ?slow_oc ?trace
     ~socket service] serves until [SIGTERM] or [SIGINT] arrives, then
-    drains and returns.  Installs handlers for both signals (they only
-    request the drain; the drain itself runs in the calling thread). *)
+    drains and returns.  Installs handlers for both signals before the
+    socket is bound, so a signal arriving once the socket exists always
+    drains, and restores the previous handlers on every exit path (the
+    handlers only request the drain; the drain itself runs in the
+    calling thread). *)
 val run :
   ?workers:int ->
   ?queue_capacity:int ->

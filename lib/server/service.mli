@@ -85,16 +85,16 @@ val warm_depth : t -> int
 val index_status : t -> (int * int * int * bool) option
 
 (** [reload_index t path] hot-swaps the census index: maps and validates
-    the index file at [path] ({!Synthesis.Census_index.load_mmap} — v1
-    or v2, magic, CRC, fingerprints, witness replay per the service's
+    the index file at [path] ({!Synthesis.Census_index.load_mmap} —
+    magic, CRC, fingerprints, witness replay per the service's
     [index_verify]), then atomically publishes it and clears the
     response cache, without dropping or blocking in-flight requests —
     requests already evaluating finish against the index (and mapping)
     they snapshotted.  Returns the new index's [(size, depth)].  On
     failure the old index remains in service untouched.
-    @raise Synthesis.Checkpoint.Corrupt on a damaged file
-    @raise Synthesis.Checkpoint.Mismatch on a library-fingerprint
-    mismatch
+    @raise Synthesis.Durable.Corrupt on a damaged file
+    @raise Synthesis.Durable.Mismatch on a library-fingerprint
+    mismatch or a QSYNIDX1 file
     @raise Sys_error when [path] cannot be read. *)
 val reload_index : t -> string -> int * int
 

@@ -20,14 +20,14 @@ let h_sweep = Telemetry.Histogram.create "census_index.sweep.seconds"
    holds for {!build_complete}: the sweep order is the lexicographic
    order of the zero-fixing universe and results are committed by
    function position, so the emitted file is byte-identical across
-   [--jobs], [--workers] and [--quotient].
+   [--jobs] and [--quotient].
 
-   On-disk format (QSYNIDX2, little-endian), reusing the QSYNCKP1
-   atomic-write + CRC machinery from {!Checkpoint}:
+   On-disk format (QSYNIDX2, little-endian), written atomically and
+   CRC-sealed by {!Durable}:
 
      magic        8 bytes  "QSYNIDX2"
      version      u32      2
-     fingerprint  i64      Checkpoint.fingerprint of the library
+     fingerprint  i64      Library.fingerprint of the library
      symmetry     i64      Symmetry.fingerprint of the library's group
      qubits       u32
      num_binary   u32      nb, the func_key length
@@ -49,19 +49,17 @@ let h_sweep = Telemetry.Histogram.create "census_index.sweep.seconds"
                            a record's witness is log[offset .. offset+cost)
      crc          u32      CRC-32 of everything above
 
-   The previous QSYNIDX1 format (same layout minus the symmetry
-   fingerprint, flags, coverage and histogram fields) still loads; a v1
-   file is by definition a partial index.  Records are fixed-size and
-   sorted by key, so lookups binary-search the record block in place —
-   whether the file sits in a heap [Bytes.t] or in a read-only mmap, no
-   per-record unpacking or allocation happens on the probe path. *)
+   A file in the previous QSYNIDX1 format is refused with a
+   {!Durable.Mismatch} naming the rebuild command.  Records are
+   fixed-size and sorted by key, so lookups binary-search the record
+   block in place — whether the file sits in a heap [Bytes.t] or in a
+   read-only mmap, no per-record unpacking or allocation happens on the
+   probe path. *)
 
-let magic_v2 = "QSYNIDX2"
+let magic = "QSYNIDX2"
 let magic_v1 = "QSYNIDX1"
 let version = 2
-let version_v1 = 1
-let v1_header_bytes = 8 + 4 + 8 + (6 * 4)
-let v2_header_bytes = 8 + 4 + 8 + 8 + (9 * 4)
+let header_bytes = 8 + 4 + 8 + 8 + (9 * 4)
 let rec_size nb = nb + 1 + 4
 let flag_complete = 1
 
@@ -111,14 +109,14 @@ let st_sub_string s off len =
 
 let st_crc s ~off ~len =
   match s with
-  | Heap b -> Checkpoint.crc32 b ~off ~len
+  | Heap b -> Durable.crc32 b ~off ~len
   | Map m ->
       (* Digest the mapping through a scratch buffer chunk by chunk:
-         Checkpoint's slicing-by-8 kernel reads [Bytes.t], and a 64 KiB
+         Durable's slicing-by-8 kernel reads [Bytes.t], and a 64 KiB
          copy costs far less than a byte-at-a-time bigarray CRC. *)
       let chunk_len = 65536 in
       let chunk = Bytes.create chunk_len in
-      let c = ref Checkpoint.crc32_init in
+      let c = ref Durable.crc32_init in
       let i = ref off in
       let stop = off + len in
       while !i < stop do
@@ -126,10 +124,10 @@ let st_crc s ~off ~len =
         for j = 0 to n - 1 do
           Bytes.unsafe_set chunk j (Bigarray.Array1.unsafe_get m (!i + j))
         done;
-        c := Checkpoint.crc32_feed !c chunk ~off:0 ~len:n;
+        c := Durable.crc32_feed !c chunk ~off:0 ~len:n;
         i := !i + n
       done;
-      Checkpoint.crc32_finish !c
+      Durable.crc32_finish !c
 
 type t = {
   library : Library.t;
@@ -195,7 +193,7 @@ let pack library ~depth ~complete rows =
         invalid_arg "Census_index: row cost outside 0..depth";
       histogram.(cost) <- histogram.(cost) + 1)
     rows;
-  let records_off = v2_header_bytes + (4 * hist_len) in
+  let records_off = header_bytes + (4 * hist_len) in
   let log_off = records_off + (count * rec_size nb) in
   let len = log_off + log_len + 4 in
   let buf = Bytes.create len in
@@ -204,10 +202,10 @@ let pack library ~depth ~complete rows =
     Bytes.set_int32_le buf !pos (Int32.of_int v);
     pos := !pos + 4
   in
-  Bytes.blit_string magic_v2 0 buf 0 8;
+  Bytes.blit_string magic 0 buf 0 8;
   pos := 8;
   put_u32 version;
-  Bytes.set_int64_le buf !pos (Checkpoint.fingerprint library);
+  Bytes.set_int64_le buf !pos (Library.fingerprint library);
   pos := !pos + 8;
   Bytes.set_int64_le buf !pos (Symmetry.fingerprint (Symmetry.create library));
   pos := !pos + 8;
@@ -235,7 +233,7 @@ let pack library ~depth ~complete rows =
         gates)
     rows;
   Bytes.set_int32_le buf (len - 4)
-    (Int32.of_int (Checkpoint.crc32 buf ~off:0 ~len:(len - 4)));
+    (Int32.of_int (Durable.crc32 buf ~off:0 ~len:(len - 4)));
   {
     library;
     depth;
@@ -499,7 +497,7 @@ let serialize t =
 
 let save t path =
   let buf = serialize t in
-  Checkpoint.write_atomic path buf;
+  Durable.write_atomic path buf;
   Telemetry.Counter.add c_bytes (Bytes.length buf);
   Log.info (fun m ->
       m "census index: %d functions to cost %d%s, %d bytes -> %s" t.count t.depth
@@ -508,9 +506,8 @@ let save t path =
 
 (* {1 Loading with validation}
 
-   Structural damage raises {!Checkpoint.Corrupt}; a well-formed file
-   for a different library or format raises {!Checkpoint.Mismatch} —
-   the same contract (and the same CLI error boundary) as snapshots.
+   Structural damage raises {!Durable.Corrupt}; a well-formed file for a
+   different library or format raises {!Durable.Mismatch}.
 
    Integrity (CRC + fingerprints + structure + histogram/coverage
    cross-checks) is always verified.  Witness replay through the
@@ -522,8 +519,8 @@ let save t path =
 
 type verification = Sample | Full
 
-let corrupt fmt = Printf.ksprintf (fun s -> raise (Checkpoint.Corrupt s)) fmt
-let mismatch fmt = Printf.ksprintf (fun s -> raise (Checkpoint.Mismatch s)) fmt
+let corrupt fmt = Printf.ksprintf (fun s -> raise (Durable.Corrupt s)) fmt
+let mismatch fmt = Printf.ksprintf (fun s -> raise (Durable.Mismatch s)) fmt
 
 let validate_witness t ~signatures i =
   let encoding = Library.encoding t.library in
@@ -556,12 +553,12 @@ let of_storage ~verify library buf path =
   let len = st_len buf in
   if len < 12 then corrupt "truncated census index (%d bytes)" len;
   let file_magic = st_sub_string buf 0 8 in
-  let v2 =
-    if file_magic = magic_v2 then true
-    else if file_magic = magic_v1 then false
-    else corrupt "bad magic: not a qsynth census index"
-  in
-  let header_bytes = if v2 then v2_header_bytes else v1_header_bytes in
+  if file_magic = magic_v1 then
+    mismatch
+      "%s is a QSYNIDX1 census index, which is no longer supported; rebuild \
+       it with: qsynth census --library %s -d 13 --quotient --emit-index %s"
+      path (Library.name library) path;
+  if file_magic <> magic then corrupt "bad magic: not a qsynth census index";
   if len < header_bytes + 4 then corrupt "truncated census index (%d bytes)" len;
   let stored_crc = st_u32 buf (len - 4) in
   let actual_crc = st_crc buf ~off:0 ~len:(len - 4) in
@@ -579,22 +576,18 @@ let of_storage ~verify library buf path =
     v
   in
   let v = u32 () in
-  let expected_version = if v2 then version else version_v1 in
-  if v <> expected_version then
-    mismatch "format version: file %d, supported %d" v expected_version;
+  if v <> version then mismatch "format version: file %d, supported %d" v version;
   let lib_name = Library.name library in
   let fp = i64 () in
-  let expected_fp = Checkpoint.fingerprint library in
+  let expected_fp = Library.fingerprint library in
   if not (Int64.equal fp expected_fp) then
     mismatch "library fingerprint: file %Lx, library %s = %Lx" fp lib_name
       expected_fp;
-  if v2 then begin
-    let sym_fp = i64 () in
-    let expected_sym = Symmetry.fingerprint (Symmetry.create library) in
-    if not (Int64.equal sym_fp expected_sym) then
-      mismatch "symmetry fingerprint: file %Lx, library %s = %Lx" sym_fp lib_name
-        expected_sym
-  end;
+  let sym_fp = i64 () in
+  let expected_sym = Symmetry.fingerprint (Symmetry.create library) in
+  if not (Int64.equal sym_fp expected_sym) then
+    mismatch "symmetry fingerprint: file %Lx, library %s = %Lx" sym_fp lib_name
+      expected_sym;
   let qubits = u32 () in
   if qubits <> Library.qubits library then
     mismatch "qubits: file %d, library %s has %d" qubits lib_name
@@ -610,34 +603,26 @@ let of_storage ~verify library buf path =
   let idx_depth = u32 () in
   let count = u32 () in
   let log_len = u32 () in
-  let complete, header_histogram =
-    if not v2 then (false, None)
-    else begin
-      let flags = u32 () in
-      if flags land lnot flag_complete <> 0 then
-        corrupt "unknown flag bits %x" flags;
-      let cov = u32 () in
-      if cov <> coverage_of library count then
-        corrupt "coverage %d does not match count %d for library %s" cov count
-          lib_name;
-      let hist_len = u32 () in
-      if hist_len <> idx_depth + 1 then
-        corrupt "histogram length %d does not match depth %d" hist_len idx_depth;
-      if len < header_bytes + (4 * hist_len) + 4 then
-        corrupt "truncated census index (%d bytes)" len;
-      let hist = Array.init hist_len (fun _ -> u32 ()) in
-      let complete = flags land flag_complete <> 0 in
-      if complete then begin
-        match universe library with
-        | Some u when u = count -> ()
-        | Some u ->
-            corrupt "complete flag with %d records, library %s universe %d"
-              count lib_name u
-        | None -> corrupt "complete flag on an unenumerable universe"
-      end;
-      (complete, Some hist)
-    end
-  in
+  let flags = u32 () in
+  if flags land lnot flag_complete <> 0 then corrupt "unknown flag bits %x" flags;
+  let cov = u32 () in
+  if cov <> coverage_of library count then
+    corrupt "coverage %d does not match count %d for library %s" cov count lib_name;
+  let hist_len = u32 () in
+  if hist_len <> idx_depth + 1 then
+    corrupt "histogram length %d does not match depth %d" hist_len idx_depth;
+  if len < header_bytes + (4 * hist_len) + 4 then
+    corrupt "truncated census index (%d bytes)" len;
+  let header_histogram = Array.init hist_len (fun _ -> u32 ()) in
+  let complete = flags land flag_complete <> 0 in
+  if complete then begin
+    match universe library with
+    | Some u when u = count -> ()
+    | Some u ->
+        corrupt "complete flag with %d records, library %s universe %d" count
+          lib_name u
+    | None -> corrupt "complete flag on an unenumerable universe"
+  end;
   let records_off = !pos in
   let log_off = records_off + (count * rec_size nb) in
   let expected_len = log_off + log_len + 4 in
@@ -688,11 +673,8 @@ let of_storage ~verify library buf path =
     done;
     histogram.(cost) <- histogram.(cost) + 1
   done;
-  (match header_histogram with
-  | Some hist ->
-      if hist <> histogram then
-        corrupt "header histogram does not match the records"
-  | None -> ());
+  if header_histogram <> histogram then
+    corrupt "header histogram does not match the records";
   (* witness replay: sampled by default, exhaustive on request *)
   let encoding = Library.encoding library in
   let degree = Mvl.Encoding.size encoding in
@@ -715,7 +697,7 @@ let of_storage ~verify library buf path =
   t
 
 let load ?(verify = Sample) library path =
-  of_storage ~verify library (Heap (Checkpoint.read_file path)) path
+  of_storage ~verify library (Heap (Durable.read_file path)) path
 
 let load_mmap ?(verify = Sample) library path =
   let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in

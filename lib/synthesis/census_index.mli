@@ -4,8 +4,8 @@
     it finds, the {e exact} minimal cost plus one witness cascade — and,
     just as importantly, that any function it does {e not} contain costs
     more than the census depth.  This module freezes both facts into a
-    compact on-disk artifact ([QSYNIDX2], reusing the atomic-write and
-    CRC-32 machinery of {!Checkpoint}) so that later [qsynth synth]
+    compact on-disk artifact ([QSYNIDX2], written with the atomic-write
+    and CRC-32 primitives of {!Durable}) so that later [qsynth synth]
     invocations answer known functions with an in-place binary search —
     no BFS, no census — and turn misses into a proven cost lower bound
     for the meet-in-the-middle engine ({!Bidir}).
@@ -18,14 +18,14 @@
     {!Mce.strip_not_layer} has peeled the NOT layer.  A complete index
     never misses a well-formed query, so a daemon serving one needs no
     search engine at all.  Completeness (plus the full cost histogram
-    and a coverage count) is recorded in the v2 header; v1 files still
-    load and are by definition partial.
+    and a coverage count) is recorded in the header.  Files in the older
+    [QSYNIDX1] format are refused with {!Durable.Mismatch}, whose message
+    names the command that rebuilds them.
 
     For the 3-qubit depth-7 census: 1260 records of 13 bytes plus a
     ~5.6 kB gate log — about 22 kB; the complete 5040-record index is
-    ~100 kB, versus ~7.6 MB for a full search snapshot, because the
-    index stores only binary {e functions} (G[k]), not all 689k circuit
-    states. *)
+    ~100 kB, because the index stores only binary {e functions} (G[k]),
+    not all 689k circuit states. *)
 
 type t
 
@@ -107,19 +107,19 @@ val mapped : t -> bool
     cascade. *)
 val find : t -> Reversible.Revfun.t -> (int * Cascade.t) option
 
-(** [save t path] atomically writes the index ({!Checkpoint.write_atomic}
+(** [save t path] atomically writes the index ({!Durable.write_atomic}
     semantics: a crash never clobbers a previous file at [path]). *)
 val save : t -> string -> unit
 
 (** [load ?verify library path] reads the file into the heap and
-    validates it: magic and CRC-32, format version, library and (v2)
+    validates it: magic and CRC-32, format version, library and
     symmetry fingerprints, shape, record sortedness and bounds, and the
-    v2 histogram/coverage cross-checks; witness replay per [verify]
+    histogram/coverage cross-checks; witness replay per [verify]
     (default [Sample]).
-    @raise Checkpoint.Corrupt on damage (truncation, CRC, structure,
+    @raise Durable.Corrupt on damage (truncation, CRC, structure,
     invalid witness);
-    @raise Checkpoint.Mismatch on a well-formed index for a different
-    library or format version. *)
+    @raise Durable.Mismatch on a well-formed index for a different
+    library or format version (a [QSYNIDX1] file included). *)
 val load : ?verify:verification -> Library.t -> string -> t
 
 (** [load_mmap ?verify library path] is {!load} over a read-only

@@ -56,7 +56,7 @@ let load library path =
              in
              if not (String.equal file_lib (Library.name library)) then
                raise
-                 (Checkpoint.Mismatch
+                 (Durable.Mismatch
                     (Printf.sprintf
                        "census file %s was written for library %s, loading \
                         with library %s"

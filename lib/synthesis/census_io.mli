@@ -26,7 +26,7 @@ type entry = {
 val save : ?note:string -> Fmcf.t -> string -> unit
 
 (** [load library path] reads and re-validates a census file.
-    @raise Checkpoint.Mismatch when the file's [# library:] header names
+    @raise Durable.Mismatch when the file's [# library:] header names
     a different library than [library] (files without the header are
     validated structurally only);
     @raise Invalid_argument on malformed or inconsistent entries (with

@@ -45,9 +45,7 @@ let describe_stop = function
 
 let func_key func = Permgroup.Perm.key (Reversible.Revfun.to_perm func)
 
-(* Shared census state threaded through level processing; deterministic
-   given the frontier sequence, so replaying the frontiers of a restored
-   arena reproduces the levels of the interrupted run exactly. *)
+(* Shared census state threaded through level processing. *)
 type acc = {
   found : (string, unit) Hashtbl.t;
   paper_found : (string, unit) Hashtbl.t;
@@ -150,43 +148,19 @@ let level_zero search acc library =
 
 let no_stop () = false
 
-let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_states
-    ?max_mem ?timeout ?(should_stop = no_stop) ?on_level library =
+let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?max_states ?max_mem
+    ?timeout ?(should_stop = no_stop) library =
   Telemetry.Span.with_span "fmcf.run"
     ~attrs:[ ("max_depth", Telemetry.Json.Int max_depth) ]
   @@ fun () ->
   let started = Unix.gettimeofday () in
-  let search =
-    match resume with
-    | None ->
-        let symmetry = if quotient then Some (Symmetry.create library) else None in
-        Search.create ~jobs ?symmetry library
-    | Some s ->
-        (* A resumed engine carries its own mode (a quotient checkpoint
-           rebuilds its symmetry group at load time); [quotient] is
-           ignored, like [jobs]. *)
-        if Search.library s != library then
-          invalid_arg "Fmcf.run_guarded: resumed search was built for another library";
-        s
-  in
-  if Search.depth search > max_depth then
-    invalid_arg
-      (Printf.sprintf
-         "Fmcf.run_guarded: resumed search is already at level %d, beyond max_depth %d"
-         (Search.depth search) max_depth);
+  let symmetry = if quotient then Some (Symmetry.create library) else None in
+  let search = Search.create ~jobs ?symmetry library in
   let acc =
     { found = Hashtbl.create 4096; paper_found = Hashtbl.create 4096;
       idx = Hashtbl.create 4096 }
   in
   let levels = ref [ level_zero search acc library ] in
-  (* Replay the completed levels of a restored arena through the same
-     processing path: the reconstructed frontiers are byte-identical to
-     the original run's (Search.handles_at_depth returns canonical
-     order), so the replayed members, witnesses and counts are too. *)
-  for cost = 1 to Search.depth search do
-    levels := process_level search acc ~cost (Search.handles_at_depth search cost)
-              :: !levels
-  done;
   let deadline = Option.map (fun s -> started +. s) timeout in
   let deadline_passed () =
     match deadline with None -> false | Some d -> Unix.gettimeofday () >= d
@@ -211,11 +185,7 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
              complete level; decide which guard fired *)
           stop := Some (if should_stop () then Cancelled else Timed_out)
       | Some fresh ->
-          let cost = Search.depth search in
-          (* The hook fires before the level's members are extracted so an
-             asynchronous checkpoint write can overlap that processing. *)
-          (match on_level with None -> () | Some f -> f search ~cost);
-          levels := process_level search acc ~cost fresh :: !levels
+          levels := process_level search acc ~cost:(Search.depth search) fresh :: !levels
   done;
   let reason = Option.value ~default:Completed !stop in
   (match reason with
@@ -230,7 +200,7 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?resume ?max_st
           (describe_stop reason));
   if Telemetry.enabled () then
     Telemetry.Span.set_attr "stop_reason" (Telemetry.Json.String (describe_stop reason));
-  ( { library; search; symmetry = Search.symmetry search; levels = List.rev !levels;
+  ( { library; search; symmetry; levels = List.rev !levels;
       index = acc.idx; image_oracle = None },
     reason )
 
@@ -276,7 +246,7 @@ let find t func = Hashtbl.find_opt t.index (func_key func)
    choice depends only on the census's image -> minimal-depth relation —
    which the quotient search preserves exactly (minimal depths are
    constant on orbits) — so raw and quotient censuses emit byte-identical
-   cascades, and hence byte-identical QSYNIDX1 files. *)
+   cascades, and hence byte-identical QSYNIDX2 files. *)
 
 let image_min_depth t =
   match t.symmetry with

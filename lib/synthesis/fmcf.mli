@@ -66,17 +66,9 @@ val describe_stop : stop_reason -> string
     ({!paper_counts_exact}). *)
 val run : ?max_depth:int -> ?jobs:int -> ?quotient:bool -> Library.t -> t
 
-(** [run_guarded ?max_depth ?jobs ?resume ?max_states ?max_mem ?timeout
-    ?should_stop ?on_level library] is {!run} with resource guards and
-    durability hooks:
+(** [run_guarded ?max_depth ?jobs ?quotient ?max_states ?max_mem ?timeout
+    ?should_stop library] is {!run} with resource guards:
 
-    - [resume]: continue from a restored engine (see {!Checkpoint.load})
-      instead of starting at the identity.  The completed levels of the
-      restored arena are {e replayed} through the same member-extraction
-      path — frontier reconstruction is canonical, so the replayed
-      members, witnesses and counts match the uninterrupted run exactly.
-      [jobs] and [quotient] are ignored (both were fixed at load time; a
-      quotient snapshot resumes quotiented).
     - [max_states] / [max_mem]: stop {e before} expanding the next level
       once [Search.size] / [Search.arena_bytes] reaches the budget; the
       census returned covers every complete level.
@@ -86,25 +78,15 @@ val run : ?max_depth:int -> ?jobs:int -> ?quotient:bool -> Library.t -> t
       complete level).
     - [should_stop]: cooperative cancellation flag, polled between
       levels and between expansion chunks; must be cheap, domain-safe
-      and monotonic (an [Atomic.t] set by a signal handler qualifies).
-    - [on_level]: called as soon as each {e newly expanded} level
-      completes (not for replayed levels), with the engine sitting at
-      the level boundary and before the level's members are extracted —
-      the checkpoint-writing hook ({!Checkpoint.save_async} overlaps its
-      write with that extraction).
-
-    @raise Invalid_argument when [resume] was built for a different
-    library or already sits beyond [max_depth]. *)
+      and monotonic (an [Atomic.t] set by a signal handler qualifies). *)
 val run_guarded :
   ?max_depth:int ->
   ?jobs:int ->
   ?quotient:bool ->
-  ?resume:Search.t ->
   ?max_states:int ->
   ?max_mem:int ->
   ?timeout:float ->
   ?should_stop:(unit -> bool) ->
-  ?on_level:(Search.t -> cost:int -> unit) ->
   Library.t ->
   t * stop_reason
 
@@ -160,7 +142,7 @@ val find : t -> Reversible.Revfun.t -> member option
     backward from the member's function image, greedily peeling the least
     library gate that steps to an image of minimal census depth exactly
     one lower; the choice depends only on the image -> minimal-depth
-    relation, which the quotient preserves exactly.  Emitted QSYNIDX1
+    relation, which the quotient preserves exactly.  Emitted QSYNIDX2
     files are therefore byte-identical across modes. *)
 val cascade_of_member : t -> member -> Cascade.t
 

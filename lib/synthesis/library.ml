@@ -77,6 +77,38 @@ let feynman_only t =
   in
   make ~name:t.name ~coset_reduction:t.coset_reduction ~gates t.encoding
 
+(* {1 Structural fingerprint (FNV-1a 64)} *)
+
+let fnv_offset = 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3L
+
+let fingerprint t =
+  let h = ref fnv_offset in
+  let feed_byte b =
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xFF))) fnv_prime
+  in
+  let feed_int v =
+    for shift = 0 to 7 do
+      feed_byte (v lsr (8 * shift))
+    done
+  in
+  let feed_string s = String.iter (fun c -> feed_byte (Char.code c)) s in
+  feed_string "qsynth-library-v1";
+  feed_int (qubits t);
+  let degree = Encoding.size t.encoding in
+  feed_int degree;
+  feed_int (Encoding.num_binary t.encoding);
+  for p = 0 to degree - 1 do
+    feed_int (Encoding.mixed_signature t.encoding p)
+  done;
+  Array.iter
+    (fun e ->
+      feed_string (Gate.name e.gate);
+      feed_int e.purity_mask;
+      Array.iter feed_int e.perm_array)
+    t.entries;
+  !h
+
 module Registry = struct
   type descriptor = {
     name : string;

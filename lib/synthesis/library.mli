@@ -10,7 +10,7 @@
     (resolved through {!Registry}), its encoding, its compiled gates and
     a [coset_reduction] flag saying whether the paper's Theorem-2 free
     NOT-layer trick applies.  Everything downstream — census, synthesis,
-    spectra, checkpoints, indexes, the serve daemon — threads the library
+    spectra, indexes, the serve daemon — threads the library
     value rather than assuming the paper's 18 gates. *)
 
 type entry = private {
@@ -93,15 +93,22 @@ val feynman_only : t -> t
     that demonstrates why the paper needs the banned sets. *)
 val unconstrained : t -> t
 
+(** [fingerprint t] digests everything a census outcome depends on —
+    encoding size and signatures, and each gate's name, point
+    permutation and purity mask — so any library change invalidates old
+    index files with a {!Durable.Mismatch} instead of a silently wrong
+    answer. *)
+val fingerprint : t -> int64
+
 (** Named census universes.
 
     A descriptor bundles everything a universe needs — gate set, pattern
     encoding, purity semantics (via the gates), and whether coset
     reduction applies — behind a stable name that flows through CLI
-    flags, request JSON, census headers and error messages.  Checkpoint
-    and index files additionally pin the {e structural} fingerprint
-    ({!Checkpoint.fingerprint}), so renames cannot silently repoint
-    on-disk artifacts at a different universe. *)
+    flags, request JSON, census headers and error messages.  Index files
+    additionally pin the {e structural} fingerprint ({!fingerprint}), so
+    renames cannot silently repoint on-disk artifacts at a different
+    universe. *)
 module Registry : sig
   type descriptor
 

@@ -143,37 +143,6 @@ let key_length_of ~symmetry ~degree ~num_binary =
         invalid_arg "Search: symmetry group too large for the conjugator field";
       num_binary
 
-let make_engine ~jobs ~symmetry library ~store ~frontier ~depth ~degree ~num_binary
-    ~signatures =
-  let entries = Library.entries library in
-  let klen = key_length_of ~symmetry ~degree ~num_binary in
-  Telemetry.Gauge.set_int g_jobs jobs;
-  {
-    library;
-    store;
-    jobs;
-    degree;
-    klen;
-    num_binary;
-    signatures;
-    sym = symmetry;
-    perm_arrays = Array.map (fun e -> e.Library.perm_array) entries;
-    purity_masks = Array.map (fun e -> e.Library.purity_mask) entries;
-    frontier;
-    depth;
-    orbit_fresh = 0;
-    orbit_hits = 0;
-    cand = Array.init jobs (fun _ -> Array.init num_shards (fun _ -> make_candbuf klen));
-    fresh_by_shard = Array.init num_shards (fun _ -> make_ibuf ());
-    scratch = Array.init jobs (fun _ -> Bytes.create klen);
-    canon_tmp = Array.init jobs (fun _ -> Bytes.create klen);
-    canon_dst = Array.init jobs (fun _ -> Bytes.create klen);
-    rejected_d = Array.make jobs 0;
-    fresh_d = Array.make jobs 0;
-    dup_d = Array.make jobs 0;
-    domain_states = Array.make jobs 0;
-  }
-
 let create ?(jobs = 1) ?symmetry library =
   if jobs < 1 then invalid_arg "Search.create: jobs must be >= 1";
   let jobs = min jobs max_jobs in
@@ -189,43 +158,34 @@ let create ?(jobs = 1) ?symmetry library =
     State_arena.try_insert store ~key:root_key ~off:0 ~hash:root_hash ~depth:0 ~via:(-1)
       ~parent:(-1)
   in
-  make_engine ~jobs ~symmetry library ~store ~frontier:[| root |] ~depth:0 ~degree
-    ~num_binary ~signatures
+  let entries = Library.entries library in
+  Telemetry.Gauge.set_int g_jobs jobs;
+  {
+    library;
+    store;
+    jobs;
+    degree;
+    klen;
+    num_binary;
+    signatures;
+    sym = symmetry;
+    perm_arrays = Array.map (fun e -> e.Library.perm_array) entries;
+    purity_masks = Array.map (fun e -> e.Library.purity_mask) entries;
+    frontier = [| root |];
+    depth = 0;
+    orbit_fresh = 0;
+    orbit_hits = 0;
+    cand = Array.init jobs (fun _ -> Array.init num_shards (fun _ -> make_candbuf klen));
+    fresh_by_shard = Array.init num_shards (fun _ -> make_ibuf ());
+    scratch = Array.init jobs (fun _ -> Bytes.create klen);
+    canon_tmp = Array.init jobs (fun _ -> Bytes.create klen);
+    canon_dst = Array.init jobs (fun _ -> Bytes.create klen);
+    rejected_d = Array.make jobs 0;
+    fresh_d = Array.make jobs 0;
+    dup_d = Array.make jobs 0;
+    domain_states = Array.make jobs 0;
+  }
 
-(* [of_store] rebuilds a live engine around a restored arena: the
-   frontier is every depth-[depth] state in canonical (shard, index)
-   order — exactly what {!merge_frontier} would have produced — so a
-   resumed search continues byte-identically. *)
-let of_store ?(jobs = 1) ?symmetry library ~depth store =
-  if jobs < 1 then invalid_arg "Search.of_store: jobs must be >= 1";
-  let jobs = min jobs max_jobs in
-  let degree, num_binary, signatures = engine_params library in
-  let klen = key_length_of ~symmetry ~degree ~num_binary in
-  if State_arena.degree store <> klen then
-    invalid_arg
-      (Printf.sprintf
-         "Search.of_store: store degree %d does not match the library encoding (%d)"
-         (State_arena.degree store) klen);
-  if depth < 0 then invalid_arg "Search.of_store: negative depth";
-  (* [>] not [<>]: an engine whose reachable set is exhausted sits at a
-     depth beyond its deepest stored state, with an empty frontier. *)
-  if State_arena.max_depth store > depth then
-    invalid_arg
-      (Printf.sprintf
-         "Search.of_store: store holds levels up to %d but depth %d was claimed"
-         (State_arena.max_depth store) depth);
-  (* the identity circuit must be the sole depth-0 state *)
-  let root_key = Bytes.init klen Char.chr in
-  let root_hash = State_arena.hash_key root_key ~off:0 ~len:klen in
-  (match State_arena.handles_at_depth store 0 with
-  | [| h |]
-    when h = State_arena.find store root_key ~off:0 ~hash:root_hash -> ()
-  | _ -> invalid_arg "Search.of_store: store does not contain the identity root");
-  let frontier = State_arena.handles_at_depth store depth in
-  make_engine ~jobs ~symmetry library ~store ~frontier ~depth ~degree ~num_binary
-    ~signatures
-
-let store t = t.store
 let symmetry t = t.sym
 let key_length t = t.klen
 let conj_of_handle t h = State_arena.conj_of t.store h
@@ -519,7 +479,6 @@ let try_step t ~cancel =
     None
   end
   else begin
-  Faultsim.hit "merge";
   let next = merge_frontier t in
   t.frontier <- next;
   t.depth <- next_depth;

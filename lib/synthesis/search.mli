@@ -46,22 +46,6 @@ type handle = int
     built for a different encoding. *)
 val create : ?jobs:int -> ?symmetry:Symmetry.t -> Library.t -> t
 
-(** [of_store ?jobs ?symmetry library ~depth store] rebuilds a live
-    engine around a restored arena (see {!Checkpoint}): the frontier is
-    recomputed as every depth-[depth] state in canonical order, so
-    stepping the result produces byte-identical levels to the search the
-    store came from.  Pass the same [?symmetry] the store was built
-    under (a quotient checkpoint records its group fingerprint).
-    @raise Invalid_argument when the store's degree does not match the
-    library (or the quotient key length), its deepest level exceeds
-    [depth] (a depth beyond it is legal — an exhausted search has an
-    empty frontier), or it lacks the identity root. *)
-val of_store : ?jobs:int -> ?symmetry:Symmetry.t -> Library.t -> depth:int -> State_arena.t -> t
-
-(** [store t] is the underlying packed state store (used by
-    {!Checkpoint.save}; treat as read-only). *)
-val store : t -> State_arena.t
-
 (** [symmetry t] is the quotient group, or [None] for a raw search. *)
 val symmetry : t -> Symmetry.t option
 
@@ -78,8 +62,7 @@ val conj_of_handle : t -> handle -> int
 (** [quotient_collapsed t] is [Some (orbits, hits)] for a quotient
     engine: [orbits] states stored (one per orbit) and [hits]
     reasonable expansions that canonicalized onto an already-stored
-    representative, accumulated since this engine was created (a
-    resumed engine restarts the tally at its resume boundary).  [None]
+    representative, accumulated since this engine was created.  [None]
     for a raw search.  Unlike the [search.quotient.*] telemetry
     counters, these are maintained even when telemetry is disabled. *)
 val quotient_collapsed : t -> (int * int) option
@@ -129,7 +112,7 @@ val try_step : t -> cancel:(unit -> bool) -> handle array option
 
 (** [handles_at_depth t d] is every state of depth [d] in the canonical
     frontier order (the order [step_handles] returned them when level
-    [d] was expanded) — the replay primitive for checkpoint resume. *)
+    [d] was expanded). *)
 val handles_at_depth : t -> int -> handle array
 
 val key_of_handle : t -> handle -> string

@@ -74,9 +74,6 @@ let hash_key b ~off ~len =
 
 let shard_of_hash h = h land (num_shards - 1)
 
-let shard_columns t s =
-  let sh = t.shards.(s) in
-  (sh.count, sh.arena, sh.depths, sh.vias, sh.parents, sh.conjs)
 let shard_of_handle h = h land (num_shards - 1)
 let index_of_handle h = h asr shard_bits
 let handle ~shard ~index = (index lsl shard_bits) lor shard
@@ -131,7 +128,6 @@ let find t key ~off ~hash =
   if idx < 0 then -1 else handle ~shard:s ~index:idx
 
 let grow_states t sh =
-  Faultsim.hit "grow";
   let cap = Array.length sh.depths in
   let cap' = 2 * cap in
   let extend a =
@@ -164,7 +160,6 @@ let grow_table sh =
   sh.table <- table';
   sh.mask <- mask'
 
-let shard_count t s = t.shards.(s).count
 let shard_counts t = Array.map (fun sh -> sh.count) t.shards
 
 (* [truncate t counts] rolls every shard back to the state count it had
@@ -193,8 +188,7 @@ let truncate t counts =
 
 (* [handles_at_depth t d] lists the states of BFS depth [d] in (shard,
    local index) order — exactly the canonical frontier order produced by
-   the engine's shard-ordered merge, so a frontier reconstructed from a
-   restored arena is byte-identical to the one the live engine held. *)
+   the engine's shard-ordered merge. *)
 let handles_at_depth t d =
   let n = ref 0 in
   Array.iter
@@ -215,91 +209,6 @@ let handles_at_depth t d =
       done)
     t.shards;
   out
-
-let max_depth t =
-  let d = ref (-1) in
-  Array.iter
-    (fun sh ->
-      for idx = 0 to sh.count - 1 do
-        if sh.depths.(idx) > !d then d := sh.depths.(idx)
-      done)
-    t.shards;
-  !d
-
-(* [restore_shard] rebuilds one shard from serialized columns.  Hashes,
-   signatures and the probe table are {e recomputed} from the key bytes —
-   they are pure functions of the keys, so a snapshot only carries keys,
-   depths, vias and parents, and a restored store is bit-for-bit the
-   store the engine would have built (capacities aside, which are not
-   observable).  Every key is re-validated to hash into this shard; a
-   corrupted key almost surely fails that check even before the CRC. *)
-let restore_shard t ~shard ~count ~keys ~depths ~vias ~parents ~conjs =
-  let sh = t.shards.(shard) in
-  if sh.count <> 0 then invalid_arg "State_arena.restore_shard: shard not empty";
-  if count < 0 then invalid_arg "State_arena.restore_shard: negative count";
-  if Bytes.length keys <> count * t.degree then
-    invalid_arg "State_arena.restore_shard: key bytes do not match count";
-  if
-    Array.length depths <> count
-    || Array.length vias <> count
-    || Array.length parents <> count
-    || Bytes.length conjs <> count
-  then invalid_arg "State_arena.restore_shard: column lengths do not match count";
-  let cap = ref (Array.length sh.depths) in
-  while !cap < count do
-    cap := 2 * !cap
-  done;
-  if !cap > Array.length sh.depths then begin
-    let cap' = !cap in
-    sh.depths <- Array.make cap' 0;
-    sh.vias <- Array.make cap' 0;
-    sh.parents <- Array.make cap' 0;
-    sh.sigs <- Array.make cap' 0;
-    sh.hashes <- Array.make cap' 0;
-    sh.conjs <- Bytes.make cap' '\000';
-    sh.arena <- Bytes.create (cap' * t.degree)
-  end;
-  (* keep the load factor under 3/4, as try_insert does *)
-  let slots = ref (sh.mask + 1) in
-  while 4 * count > 3 * !slots do
-    slots := 2 * !slots
-  done;
-  if !slots > sh.mask + 1 then begin
-    sh.table <- Array.make !slots (-1);
-    sh.mask <- !slots - 1
-  end;
-  Bytes.blit keys 0 sh.arena 0 (count * t.degree);
-  Bytes.blit conjs 0 sh.conjs 0 count;
-  Array.blit depths 0 sh.depths 0 count;
-  Array.blit vias 0 sh.vias 0 count;
-  Array.blit parents 0 sh.parents 0 count;
-  for idx = 0 to count - 1 do
-    let off = idx * t.degree in
-    for i = off to off + t.degree - 1 do
-      if Char.code (Bytes.get keys i) >= Array.length t.signatures then
-        invalid_arg "State_arena.restore_shard: key byte outside the encoding"
-    done;
-    let hash = hash_key keys ~off ~len:t.degree in
-    if shard_of_hash hash <> shard then
-      invalid_arg "State_arena.restore_shard: key does not belong to this shard";
-    sh.hashes.(idx) <- hash;
-    let sg = ref 0 in
-    for i = 0 to t.num_binary - 1 do
-      sg := !sg lor t.signatures.(Char.code (Bytes.get keys (off + i)))
-    done;
-    sh.sigs.(idx) <- !sg;
-    let i = ref ((hash lsr shard_bits) land sh.mask) in
-    let dup = ref false in
-    while sh.table.(!i) >= 0 do
-      let prev = sh.table.(!i) in
-      if sh.hashes.(prev) = hash && key_equal sh.arena (prev * t.degree) keys off t.degree
-      then dup := true;
-      i := (!i + 1) land sh.mask
-    done;
-    if !dup then invalid_arg "State_arena.restore_shard: duplicate key";
-    sh.table.(!i) <- idx
-  done;
-  sh.count <- count
 
 let try_insert ?(conj = 0) t ~key ~off ~hash ~depth ~via ~parent =
   let s = shard_of_hash hash in

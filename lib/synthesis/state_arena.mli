@@ -125,10 +125,7 @@ val try_insert :
   parent:int ->
   int
 
-(** {1 Durability support (checkpoint/resume and cancellation)} *)
-
-(** [shard_count t s] is the number of states stored in shard [s]. *)
-val shard_count : t -> int -> int
+(** {1 Cancellation support} *)
 
 (** [shard_counts t] captures every shard's state count — the rollback
     token for {!truncate}. *)
@@ -142,43 +139,7 @@ val shard_counts : t -> int array
     count (the token is from the future). *)
 val truncate : t -> int array -> unit
 
-(** [shard_columns t s] is shard [s]'s live column storage [(count, keys,
-    depths, vias, parents, conjs)] — a zero-copy capture for
-    serialization.  The
-    first [count] entries of each column are immutable for the store's
-    lifetime: insertions only append past [count] (growth replaces the
-    column objects, leaving captured ones intact) and {!truncate} never
-    rolls a shard below a level boundary captured at one.  A capture taken
-    at a level boundary may therefore be read from another domain while
-    the next level is being expanded. *)
-val shard_columns :
-  t -> int -> int * Bytes.t * int array * int array * int array * Bytes.t
-
 (** [handles_at_depth t d] is the handles of every state with BFS depth
     [d], in (shard, local index) order — the engine's canonical frontier
-    order, so the frontier of a restored store can be reconstructed
-    byte-identically. *)
+    order. *)
 val handles_at_depth : t -> int -> int array
-
-(** [max_depth t] is the largest stored depth, or -1 on an empty store. *)
-val max_depth : t -> int
-
-(** [restore_shard t ~shard ~count ~keys ~depths ~vias ~parents ~conjs]
-    rebuilds shard [shard] of an {e empty} store from serialized columns
-    ([keys] holds [count * degree] bytes, [conjs] holds [count]
-    conjugator indices — all zero outside quotient mode).  Hashes,
-    signatures and the probe table are recomputed from the keys; every
-    key is validated to belong to [shard] and to be unique within it.
-    @raise Invalid_argument on any inconsistency (shard not empty,
-    column length mismatch, foreign or duplicate key, byte outside the
-    encoding). *)
-val restore_shard :
-  t ->
-  shard:int ->
-  count:int ->
-  keys:Bytes.t ->
-  depths:int array ->
-  vias:int array ->
-  parents:int array ->
-  conjs:Bytes.t ->
-  unit

@@ -61,8 +61,8 @@ val num_binary : t -> int
 val wire_perm : t -> int -> int array
 
 (** [fingerprint t] digests the group (every element's induced point
-    permutation): checkpoints record it so a snapshot quotiented under
-    one group is never resumed under another (see {!Checkpoint}). *)
+    permutation): census index headers record it (see {!Census_index}),
+    so a file is only accepted by a library with the same group. *)
 val fingerprint : t -> int64
 
 (** [gate_map t i] maps library entry indices through conjugation by

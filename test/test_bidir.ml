@@ -9,8 +9,10 @@
 
    The census index is checked as a round-trip (build -> save -> load ->
    every lookup agrees with Fmcf.find) plus rejection tests: CRC damage,
-   truncation, version and fingerprint mismatches, and a value-level
-   forgery that keeps the CRC valid but plants an illegal witness. *)
+   truncation, version and fingerprint mismatches, a value-level
+   forgery that keeps the CRC valid but plants an illegal witness, and
+   the retired QSYNIDX1 format.  A crash injected into an atomic index
+   save is drilled in test_faultsim. *)
 
 open Synthesis
 open Reversible
@@ -165,7 +167,7 @@ let reload path =
   ignore (Census_index.load ~verify:Census_index.Full library3 path)
 
 let patch path ~pos bytes =
-  let buf = Checkpoint.read_file path in
+  let buf = Durable.read_file path in
   Bytes.blit_string bytes 0 buf pos (String.length bytes);
   let fd = open_out_bin path in
   output_bytes fd buf;
@@ -174,10 +176,10 @@ let patch path ~pos bytes =
 (* rewrite the trailing CRC so header/payload edits survive the
    integrity check and reach the semantic validators *)
 let refresh_crc path =
-  let buf = Checkpoint.read_file path in
+  let buf = Durable.read_file path in
   let len = Bytes.length buf in
   Bytes.set_int32_le buf (len - 4)
-    (Int32.of_int (Checkpoint.crc32 buf ~off:0 ~len:(len - 4)));
+    (Int32.of_int (Durable.crc32 buf ~off:0 ~len:(len - 4)));
   let fd = open_out_bin path in
   output_bytes fd buf;
   close_out fd
@@ -185,23 +187,23 @@ let refresh_crc path =
 let expect_corrupt name f =
   match f () with
   | () -> Alcotest.failf "%s: expected Corrupt" name
-  | exception Checkpoint.Corrupt _ -> ()
+  | exception Durable.Corrupt _ -> ()
 
 let expect_mismatch name f =
   match f () with
   | () -> Alcotest.failf "%s: expected Mismatch" name
-  | exception Checkpoint.Mismatch _ -> ()
+  | exception Durable.Mismatch _ -> ()
 
 let test_index_rejects_damage () =
   with_temp_file @@ fun path ->
   save_to path;
-  let original = Checkpoint.read_file path in
+  let original = Durable.read_file path in
   let len = Bytes.length original in
   (* bit flips anywhere must fail the CRC (or the magic check) *)
   List.iter
     (fun pos ->
       save_to path;
-      let buf = Checkpoint.read_file path in
+      let buf = Durable.read_file path in
       Bytes.set buf pos (Char.chr (Char.code (Bytes.get buf pos) lxor 0x40));
       let fd = open_out_bin path in
       output_bytes fd buf;
@@ -261,22 +263,27 @@ let test_index_rejects_forged_witness () =
      witness-replay validator can notice the cascade now computes a
      different function than the record's key claims *)
   save_to path;
-  let buf = Checkpoint.read_file path in
+  let buf = Durable.read_file path in
   let original = Bytes.get_uint8 buf log_off in
   let forged = (original + 1) mod Library.size library3 in
   patch path ~pos:log_off (String.make 1 (Char.chr forged));
   refresh_crc path;
   expect_corrupt "forged gate-log byte" (fun () -> reload path)
 
-let test_v1_format_still_loads () =
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_v1_format_rejected () =
   (* a QSYNIDX1 file is byte-slicable out of a QSYNIDX2 one: same
      fingerprint, same six leading fields, same records and gate log —
-     minus the symmetry fingerprint, flags, coverage and histogram.
-     Hand-assembling one proves pre-sweep index files keep loading (as
-     partial indexes) after the format bump. *)
+     minus the symmetry fingerprint, flags, coverage and histogram.  A
+     hand-assembled, CRC-valid v1 file must be refused with the typed
+     Mismatch, and the message must name the command that rebuilds it. *)
   with_temp_file @@ fun path ->
   save_to path;
-  let v2 = Checkpoint.read_file path in
+  let v2 = Durable.read_file path in
   let v1_header = 8 + 4 + 8 + (6 * 4) in
   let payload_len = Bytes.length v2 - 4 - records_off in
   let v1 = Bytes.create (v1_header + payload_len + 4) in
@@ -288,26 +295,25 @@ let test_v1_format_still_loads () =
   Bytes.blit v2 records_off v1 v1_header payload_len;
   Bytes.set_int32_le v1
     (v1_header + payload_len)
-    (Int32.of_int
-       (Checkpoint.crc32 v1 ~off:0 ~len:(v1_header + payload_len)));
+    (Int32.of_int (Durable.crc32 v1 ~off:0 ~len:(v1_header + payload_len)));
   let fd = open_out_bin path in
   output_bytes fd v1;
   close_out fd;
-  let idx = Census_index.load ~verify:Census_index.Full library3 path in
-  check Alcotest.int "v1 size" census_total (Census_index.size idx);
-  check Alcotest.int "v1 depth" 7 (Census_index.depth idx);
-  checkb "v1 is partial by definition" false (Census_index.is_complete idx);
-  (match Census_index.find idx toffoli with
-  | Some (5, _) -> ()
-  | Some (c, _) -> Alcotest.failf "v1 toffoli cost %d" c
-  | None -> Alcotest.fail "v1 toffoli missing");
-  (* same records, same derived histogram as the v2 original *)
-  let v2_idx = Lazy.force index7 in
-  check
-    Alcotest.(array int)
-    "v1 histogram matches v2"
-    (Census_index.histogram v2_idx)
-    (Census_index.histogram idx)
+  let rebuild =
+    "qsynth census --library paper18 -d 13 --quotient --emit-index " ^ path
+  in
+  List.iter
+    (fun (name, load) ->
+      match load () with
+      | _ -> Alcotest.failf "%s: QSYNIDX1 file loaded" name
+      | exception Durable.Mismatch msg ->
+          checkb
+            (Printf.sprintf "%s: message %S names %S" name msg rebuild)
+            true (contains ~sub:rebuild msg))
+    [
+      ("heap", fun () -> Census_index.load ~verify:Census_index.Full library3 path);
+      ("mmap", fun () -> Census_index.load_mmap library3 path);
+    ]
 
 (* {1 Mce integration: planner and shared queries} *)
 
@@ -382,8 +388,8 @@ let () =
           Alcotest.test_case "mismatch rejection" `Quick test_index_rejects_mismatch;
           Alcotest.test_case "forged witness rejection" `Quick
             test_index_rejects_forged_witness;
-          Alcotest.test_case "QSYNIDX1 files still load" `Quick
-            test_v1_format_still_loads;
+          Alcotest.test_case "QSYNIDX1 files rejected" `Quick
+            test_v1_format_rejected;
         ] );
       ( "mce planner",
         [

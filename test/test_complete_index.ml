@@ -165,7 +165,7 @@ let test_deterministic_bytes_across_jobs_and_quotient () =
   Census_index.save idx_raw path_raw;
   Census_index.save idx_q path_q;
   checkb "raw/jobs=4 and quotient/jobs=1 files byte-identical" true
-    (Checkpoint.read_file path_raw = Checkpoint.read_file path_q)
+    (Durable.read_file path_raw = Durable.read_file path_q)
 
 let test_mmap_and_heap_loaders_agree () =
   let idx, _ = Lazy.force complete6 in

@@ -1,6 +1,7 @@
 (* Direct tests for the fault-injection module itself: spec parsing
    (valid, malformed), point:count trigger arithmetic, multi-point
-   specs, re-arming semantics, and the disarmed fast path.  Every test
+   specs, re-arming semantics, the disarmed fast path, and one drill of
+   the real "write_atomic" point around a census-index save.  Every test
    disarms on exit so the suite-wide QSYNTH_FAULT environment (CI arms
    a never-firing spec) is not clobbered for other binaries — this
    binary runs its own process, but restoring the initial arming keeps
@@ -81,7 +82,7 @@ let test_other_points_ignored () =
 
 let test_disarms_after_firing () =
   (* fire-once: the cell disarms before raising, so the same point is
-     survivable on retry — the distributed census depends on this *)
+     survivable on retry *)
   with_spec (Some "p:2") @@ fun () ->
   checkb "hit 1 silent" false (fired "p" (fun () -> Faultsim.hit "p"));
   checkb "hit 2 fires" true (fired "p" (fun () -> Faultsim.hit "p"));
@@ -118,6 +119,36 @@ let test_armed_reports_spec () =
   with_spec (Some "merge:7") @@ fun () ->
   check Alcotest.(option string) "armed spec" (Some "merge:7") (Faultsim.armed ())
 
+(* {1 Atomic index writes}
+
+   A crash between the temp file's fsync and the rename (the injected
+   "write_atomic" fault) must leave the previous index at the path
+   byte-unchanged and still loadable with full witness replay. *)
+
+let library3 = Synthesis.Library.make (Mvl.Encoding.make ~qubits:3)
+let census_total = 1260 (* 1+6+24+51+84+156+398+540 *)
+
+let test_atomic_save_crash () =
+  let open Synthesis in
+  let path = Filename.temp_file "qsynth_idx" ".bin" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; path ^ ".tmp" ])
+  @@ fun () ->
+  Census_index.save (Census_index.build (Fmcf.run ~max_depth:7 library3)) path;
+  let before = Durable.read_file path in
+  let smaller = Census_index.build (Fmcf.run ~max_depth:3 library3) in
+  with_spec (Some "write_atomic:1") (fun () ->
+      checkb "write_atomic fault fired" true
+        (fired "write_atomic" (fun () -> Census_index.save smaller path)));
+  checkb "previous index byte-unchanged" true
+    (Bytes.equal before (Durable.read_file path));
+  let idx = Census_index.load ~verify:Census_index.Full library3 path in
+  check Alcotest.int "previous index still loads" 7 (Census_index.depth idx);
+  check Alcotest.int "previous index size" census_total (Census_index.size idx)
+
 let () =
   Alcotest.run "faultsim"
     [
@@ -146,5 +177,10 @@ let () =
           Alcotest.test_case "disarmed is silent" `Quick test_disarmed_is_silent;
           Alcotest.test_case "armed () reports spec" `Quick
             test_armed_reports_spec;
+        ] );
+      ( "damage rejection",
+        [
+          Alcotest.test_case "atomic save under crash" `Quick
+            test_atomic_save_crash;
         ] );
     ]

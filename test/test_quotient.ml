@@ -1,9 +1,8 @@
 (* Symmetry-quotient parity tests: the quotiented census must be
    observationally identical to the raw one — Table 2, |S8[k]|, the exact
    1260 depth-7 members with equal costs and witness cascades, and
-   byte-identical QSYNIDX1 files — plus QCheck properties of the
-   canonical form, quotient (v2) checkpoint round-trips and rejection of
-   snapshots whose symmetry section is damaged or mismatched. *)
+   byte-identical QSYNIDX2 files — plus QCheck properties of the
+   canonical form and the jobs-independence of the quotient arena. *)
 
 open Synthesis
 
@@ -33,18 +32,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
-
 let func_key m = Permgroup.Perm.key (Reversible.Revfun.to_perm m.Fmcf.func)
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
 
 (* {1 Census parity} *)
 
@@ -92,7 +80,7 @@ let test_index_byte_identity () =
   with_temp_file @@ fun path_quot ->
   Census_index.save (Census_index.build (Lazy.force raw7)) path_raw;
   Census_index.save (Census_index.build (Lazy.force quot7)) path_quot;
-  checkb "QSYNIDX1 files byte-identical" true
+  checkb "QSYNIDX2 files byte-identical" true
     (String.equal (read_file path_raw) (read_file path_quot))
 
 (* {1 Canonical-form properties} *)
@@ -136,135 +124,39 @@ let test_canon_invariant_reachable () =
       (Search.handles_at_depth s d)
   done
 
-(* {1 Quotient checkpoints (v2)} *)
+(* {1 Jobs determinism} *)
 
-let quotient_search_at ?(jobs = 1) depth =
+let quotient_search_at ~jobs depth =
   let s = Search.create ~jobs ~symmetry:(Lazy.force sym3) library3 in
   for _ = 1 to depth do
     ignore (Search.step_handles s)
   done;
   s
 
-let keys_at s d = Array.map (Search.key_of_handle s) (Search.handles_at_depth s d)
-let conjs_at s d = Array.map (Search.conj_of_handle s) (Search.handles_at_depth s d)
-
-let test_v2_round_trip () =
-  with_temp_file @@ fun path ->
-  let s = quotient_search_at 5 in
-  Checkpoint.save s path;
-  let h = Checkpoint.peek path in
-  checkb "peek records the symmetry fingerprint" true
-    (h.Checkpoint.symmetry
-    = Some (Symmetry.fingerprint (Lazy.force sym3)));
-  let r = Checkpoint.load library3 path in
-  checkb "restored engine is quotiented" true (Search.symmetry r <> None);
-  check Alcotest.int "depth" (Search.depth s) (Search.depth r);
-  check Alcotest.int "size" (Search.size s) (Search.size r);
-  for d = 0 to 5 do
+(* The quotient arena is a pure function of the library: jobs=1 and
+   jobs=4 store the same canonical keys under the same handles, record
+   the same conjugators, and end on the same frontier. *)
+let test_jobs_determinism () =
+  let depth = 6 in
+  let s1 = quotient_search_at ~jobs:1 depth and s4 = quotient_search_at ~jobs:4 depth in
+  check Alcotest.int "size" (Search.size s1) (Search.size s4);
+  for d = 0 to depth do
+    let h1 = Search.handles_at_depth s1 d and h4 = Search.handles_at_depth s4 d in
+    check Alcotest.(array int) (Printf.sprintf "level %d handles" d) h1 h4;
     check Alcotest.(array string)
       (Printf.sprintf "level %d keys" d)
-      (keys_at s d) (keys_at r d);
+      (Array.map (Search.key_of_handle s1) h1)
+      (Array.map (Search.key_of_handle s4) h4);
     check Alcotest.(array int)
       (Printf.sprintf "level %d conjugators" d)
-      (conjs_at s d) (conjs_at r d)
+      (Array.map (Search.conj_of_handle s1) h1)
+      (Array.map (Search.conj_of_handle s4) h4)
   done;
-  (* continuing both engines stays byte-identical *)
-  let e = Search.step_handles s and g = Search.step_handles r in
-  check Alcotest.(array int) "continued handles" e g;
-  check Alcotest.(array string) "continued keys"
-    (Array.map (Search.key_of_handle s) e)
-    (Array.map (Search.key_of_handle r) g)
-
-let test_v2_resume_parity () =
-  with_temp_file @@ fun path ->
-  Checkpoint.save (quotient_search_at 4) path;
-  let resume = Checkpoint.load library3 path in
-  let resumed, reason = Fmcf.run_guarded ~max_depth:7 ~resume library3 in
-  checkb "resumed census completed" true (reason = Fmcf.Completed);
-  let fresh = Lazy.force quot7 in
-  check Alcotest.(list (pair int int)) "resumed counts" (Fmcf.counts fresh)
-    (Fmcf.counts resumed);
-  check Alcotest.int "resumed total" (Fmcf.total_found fresh)
-    (Fmcf.total_found resumed)
-
-let test_v2_jobs_determinism () =
-  with_temp_file @@ fun p1 ->
-  with_temp_file @@ fun p4 ->
-  Checkpoint.save (quotient_search_at ~jobs:1 6) p1;
-  Checkpoint.save (quotient_search_at ~jobs:4 6) p4;
-  checkb "jobs=1 and jobs=4 quotient snapshots byte-identical" true
-    (String.equal (read_file p1) (read_file p4))
-
-let test_v1_loads_unquotiented () =
-  with_temp_file @@ fun path ->
-  let s = Search.create library3 in
-  for _ = 1 to 3 do
-    ignore (Search.step_handles s)
-  done;
-  Checkpoint.save s path;
-  checkb "raw snapshot has no symmetry section" true
-    ((Checkpoint.peek path).Checkpoint.symmetry = None);
-  let r = Checkpoint.load library3 path in
-  checkb "restored engine is raw" true (Search.symmetry r = None);
-  check Alcotest.int "size" (Search.size s) (Search.size r)
-
-(* {1 Damaged symmetry sections} *)
-
-(* v2 layout: magic 8 | version u32 | library fp u64 | symmetry fp u64 at
-   offset 20 | 5 u32 (qubits, degree, num_binary, num_gates, depth) |
-   states u64 | frontier u64 | num_shards u32 at offset 64 | per shard:
-   count u32 then count x 12-byte records (depth u16, via u8, conj u8,
-   parent u64) | crc u32.  Patches below re-seal the CRC so the format
-   gates, not the checksum, must reject the file. *)
-
-let reseal buf =
-  let n = Bytes.length buf in
-  Bytes.set_int32_le buf (n - 4)
-    (Int32.of_int (Checkpoint.crc32 buf ~off:0 ~len:(n - 4)))
-
-let test_symmetry_fingerprint_mismatch () =
-  with_temp_file @@ fun path ->
-  Checkpoint.save (quotient_search_at 3) path;
-  let buf = Bytes.of_string (read_file path) in
-  Bytes.set buf 20 (Char.chr (Char.code (Bytes.get buf 20) lxor 0x01));
-  reseal buf;
-  write_file path (Bytes.to_string buf);
-  match Checkpoint.load library3 path with
-  | exception Checkpoint.Mismatch msg ->
-      checkb "message names the symmetry group" true (contains ~sub:"symmetry" msg)
-  | exception Checkpoint.Corrupt msg ->
-      Alcotest.failf "raised Corrupt (%s) instead of Mismatch" msg
-  | _ -> Alcotest.fail "mismatched symmetry fingerprint loaded without error"
-
-let test_conjugator_corruption () =
-  with_temp_file @@ fun path ->
-  Checkpoint.save (quotient_search_at 3) path;
-  let buf = Bytes.of_string (read_file path) in
-  let num_shards = Int32.to_int (Bytes.get_int32_le buf 64) in
-  (* find the first stored state of depth >= 1 and damage its conjugator *)
-  let patched = ref false in
-  let pos = ref 68 in
-  for _ = 1 to num_shards do
-    let count = Int32.to_int (Bytes.get_int32_le buf !pos) in
-    pos := !pos + 4;
-    for _ = 1 to count do
-      if (not !patched) && Bytes.get_uint16_le buf !pos >= 1 then begin
-        let conj = Bytes.get_uint8 buf (!pos + 3) in
-        Bytes.set_uint8 buf (!pos + 3)
-          ((conj + 1) mod Symmetry.order (Lazy.force sym3));
-        patched := true
-      end;
-      pos := !pos + 12
-    done
-  done;
-  checkb "found a record to damage" true !patched;
-  reseal buf;
-  write_file path (Bytes.to_string buf);
-  match Checkpoint.load library3 path with
-  | exception Checkpoint.Corrupt _ -> ()
-  | exception Checkpoint.Mismatch msg ->
-      Alcotest.failf "raised Mismatch (%s) instead of Corrupt" msg
-  | _ -> Alcotest.fail "damaged conjugator loaded without error"
+  check Alcotest.(array int) "frontier handles" (Search.frontier_handles s1)
+    (Search.frontier_handles s4);
+  check Alcotest.(array string) "frontier keys"
+    (Array.map (Search.key_of_handle s1) (Search.frontier_handles s1))
+    (Array.map (Search.key_of_handle s4) (Search.frontier_handles s4))
 
 let () =
   Alcotest.run "quotient"
@@ -283,17 +175,9 @@ let () =
           Alcotest.test_case "reachable states" `Quick
             test_canon_invariant_reachable;
         ] );
-      ( "checkpoints",
+      ( "jobs determinism",
         [
-          Alcotest.test_case "v2 round trip" `Quick test_v2_round_trip;
-          Alcotest.test_case "v2 resume parity" `Quick test_v2_resume_parity;
-          Alcotest.test_case "v2 jobs determinism" `Quick
-            test_v2_jobs_determinism;
-          Alcotest.test_case "v1 loads unquotiented" `Quick
-            test_v1_loads_unquotiented;
-          Alcotest.test_case "symmetry fingerprint mismatch" `Quick
-            test_symmetry_fingerprint_mismatch;
-          Alcotest.test_case "conjugator corruption" `Quick
-            test_conjugator_corruption;
+          Alcotest.test_case "quotient arena keys and frontier" `Quick
+            test_jobs_determinism;
         ] );
     ]

@@ -605,18 +605,18 @@ let test_library_registry () =
   let p18 = Library.of_name "paper18" in
   check Alcotest.string "default name" Library.default_name (Library.name p18);
   check Alcotest.int64 "paper18 fingerprint unchanged"
-    (Checkpoint.fingerprint library3) (Checkpoint.fingerprint p18);
+    (Library.fingerprint library3) (Library.fingerprint p18);
   checkb "paper18 coset reduction" true (Library.coset_reduction p18);
   let nct = Library.of_name "nct" and nft = Library.of_name "nft" in
   check Alcotest.int "nct gate count" 12 (Library.size nct);
   check Alcotest.int "nft gate count" 18 (Library.size nft);
   checkb "nct full-group" false (Library.coset_reduction nct);
   checkb "nft full-group" false (Library.coset_reduction nft);
-  (* fingerprints separate the universes — the checkpoint/index guard *)
+  (* fingerprints separate the universes — the index-file guard *)
   check Alcotest.int "three distinct fingerprints" 3
     (List.length
        (List.sort_uniq Int64.compare
-          (List.map Checkpoint.fingerprint [ p18; nct; nft ])))
+          (List.map Library.fingerprint [ p18; nct; nft ])))
 
 (* Engine-verified published spectra: Shende et al. for NCT, Younes
    (arXiv:1304.5804) for NFT.  Both sum to |S8| = 40320 at full depth. *)
@@ -674,19 +674,77 @@ let test_census_io_library_header () =
   (* a different universe is refused with both names in the message *)
   checkb "cross-library load refused" true
     (match Census_io.load library3 path with
-    | exception Checkpoint.Mismatch msg ->
+    | exception Durable.Mismatch msg ->
         has_sub msg "nct" && has_sub msg "paper18"
     | _ -> false)
 
-let test_checkpoint_names_library () =
-  let path = Filename.temp_file "qsynth_ckpt" ".snap" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  Checkpoint.save (Search.create (Library.of_name "nct")) path;
-  checkb "mismatch message names the loading library" true
-    (match Checkpoint.load (Library.of_name "nft") path with
-    | exception Checkpoint.Mismatch msg -> has_sub msg "nft"
-    | _ -> false)
+(* Resource guards: budgets and cancellation stop the census at a level
+   boundary, and what comes back is an exact prefix of the clean census
+   (a cancel firing mid-expansion rolls the half-built level back). *)
+
+let member_sig (m : Fmcf.member) =
+  ( m.Fmcf.cost,
+    Permgroup.Perm.key (Reversible.Revfun.to_perm m.Fmcf.func),
+    m.Fmcf.witness )
+
+let census_sig c =
+  List.map
+    (fun (l : Fmcf.level) ->
+      ( l.Fmcf.cost,
+        l.Fmcf.frontier_size,
+        l.Fmcf.paper_count,
+        List.map member_sig l.Fmcf.members ))
+    (Fmcf.levels c)
+
+let guard_depth = 7
+
+let prefix_of_clean census =
+  let depth = Search.depth (Fmcf.search census) in
+  let clean = census_sig (Lazy.force census7) in
+  census_sig census = List.filter (fun (c, _, _, _) -> c <= depth) clean
+
+let test_budget_states () =
+  let census, reason =
+    Fmcf.run_guarded ~max_depth:guard_depth ~max_states:1000 library3
+  in
+  checkb "stop reason" true (reason = Fmcf.Budget_states);
+  checkb "census is below the budgeted level count" true
+    (Search.depth (Fmcf.search census) < guard_depth);
+  checkb "partial census is an exact prefix of the clean one" true
+    (prefix_of_clean census)
+
+let test_budget_mem () =
+  let census, reason =
+    Fmcf.run_guarded ~max_depth:guard_depth ~max_mem:(64 * 1024) library3
+  in
+  checkb "stop reason" true (reason = Fmcf.Budget_mem);
+  checkb "partial census is an exact prefix of the clean one" true
+    (prefix_of_clean census)
+
+let test_cancel_immediate () =
+  let census, reason =
+    Fmcf.run_guarded ~max_depth:guard_depth ~should_stop:(fun () -> true) library3
+  in
+  checkb "stop reason" true (reason = Fmcf.Cancelled);
+  check Alcotest.int "no level expanded" 0 (Search.depth (Fmcf.search census));
+  check
+    Alcotest.(list (pair int int))
+    "level 0 only" [ (0, 1) ] (Fmcf.counts census)
+
+let test_cancel_mid_level () =
+  let polls = ref 0 in
+  let stop () =
+    incr polls;
+    !polls > 400
+  in
+  let census, reason =
+    Fmcf.run_guarded ~max_depth:guard_depth ~should_stop:stop library3
+  in
+  checkb "stop reason" true (reason = Fmcf.Cancelled);
+  checkb "some levels completed before the cancel" true
+    (Search.depth (Fmcf.search census) > 0);
+  checkb "rolled-back census is an exact prefix of the clean one" true
+    (prefix_of_clean census)
 
 let () =
   Alcotest.run "synthesis"
@@ -782,7 +840,12 @@ let () =
             test_nft_census_quotient_identical;
           Alcotest.test_case "census file records library" `Quick
             test_census_io_library_header;
-          Alcotest.test_case "checkpoint mismatch names library" `Quick
-            test_checkpoint_names_library;
+        ] );
+      ( "resource guards",
+        [
+          Alcotest.test_case "max states" `Quick test_budget_states;
+          Alcotest.test_case "max mem" `Quick test_budget_mem;
+          Alcotest.test_case "cancel immediately" `Quick test_cancel_immediate;
+          Alcotest.test_case "cancel mid-level" `Quick test_cancel_mid_level;
         ] );
     ]
