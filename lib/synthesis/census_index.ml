@@ -249,6 +249,7 @@ let pack library ~depth ~complete rows =
 
 (* {1 Building from a census} *)
 
+(* Bidir answers carry gates, not library positions. *)
 let gate_indices library =
   let table = Hashtbl.create 64 in
   Array.iteri
@@ -263,19 +264,20 @@ let gate_indices library =
              (Gate.name gate))
 
 let census_rows census =
+  Telemetry.Span.with_span "census_index.witnesses" @@ fun () ->
   let library = Search.library (Fmcf.search census) in
   let nb = Mvl.Encoding.num_binary (Library.encoding library) in
-  let gate_index = gate_indices library in
   let rows = ref [] in
   Fmcf.iter_members census (fun ~cost member ->
       let key = func_key_bytes ~nb member.Fmcf.func in
-      let gates = List.map gate_index (Fmcf.cascade_of_member census member) in
+      let gates = Fmcf.gate_indices census member in
       if List.length gates <> cost then
         invalid_arg "Census_index.build: witness length differs from cost";
       rows := (Bytes.unsafe_to_string key, cost, gates) :: !rows);
   (library, !rows)
 
 let build census =
+  Telemetry.Span.with_span "census_index.build" @@ fun () ->
   Telemetry.Histogram.time h_build @@ fun () ->
   let library, rows = census_rows census in
   (* A deep-enough forward census can cover the library's whole universe
@@ -496,6 +498,7 @@ let serialize t =
       Bytes.init len (fun i -> Bigarray.Array1.get m i)
 
 let save t path =
+  Telemetry.Span.with_span "census_index.save" @@ fun () ->
   let buf = serialize t in
   Durable.write_atomic path buf;
   Telemetry.Counter.add c_bytes (Bytes.length buf);

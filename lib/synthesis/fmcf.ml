@@ -32,6 +32,9 @@ type t = {
   mutable image_oracle : (string, int) Hashtbl.t option;
       (* raw mode: lazily built binary-image -> minimal-depth table, the
          witness-reconstruction oracle (quotient mode reads the arena) *)
+  chains : (string, int list) Hashtbl.t;
+      (* binary image -> its witness as library gate indices, last gate
+         first; filled lazily by [gate_indices], tails shared *)
 }
 
 type stop_reason = Completed | Budget_states | Budget_mem | Timed_out | Cancelled
@@ -201,7 +204,7 @@ let run_guarded ?(max_depth = 7) ?(jobs = 1) ?(quotient = false) ?max_states ?ma
   if Telemetry.enabled () then
     Telemetry.Span.set_attr "stop_reason" (Telemetry.Json.String (describe_stop reason));
   ( { library; search; symmetry; levels = List.rev !levels;
-      index = acc.idx; image_oracle = None },
+      index = acc.idx; image_oracle = None; chains = Hashtbl.create 4096 },
     reason )
 
 let run ?max_depth ?jobs ?quotient library =
@@ -239,14 +242,20 @@ let find t func = Hashtbl.find_opt t.index (func_key func)
 
 (* {1 Canonical witness reconstruction}
 
-   [cascade_of_member] rebuilds witnesses {e backward}: from the member's
-   function image, greedily peel the lexicographically least library gate
-   whose removal steps to an image of minimal depth exactly one lower
-   (respecting the reasonable-product constraint at the step).  The
-   choice depends only on the census's image -> minimal-depth relation —
-   which the quotient search preserves exactly (minimal depths are
-   constant on orbits) — so raw and quotient censuses emit byte-identical
-   cascades, and hence byte-identical QSYNIDX2 files. *)
+   Witnesses are rebuilt {e backward}: from a function's image, greedily
+   peel the least library gate whose removal steps to an image of
+   minimal depth exactly one lower (respecting the reasonable-product
+   constraint at the step).  The choice depends only on the census's
+   image -> minimal-depth relation — which the quotient search preserves
+   exactly (minimal depths are constant on orbits) — so raw and quotient
+   censuses emit byte-identical cascades, and hence byte-identical
+   QSYNIDX2 files.
+
+   Since the peeled gate depends only on the image, witness(v) =
+   witness(u) @ [g] for the pre-image u = g^-1 v.  [t.chains] memoises
+   image -> reversed gate-index chain, so each distinct image is peeled
+   once and costs one cons cell; a member whose pre-image is already
+   known takes one backward step instead of [cost]. *)
 
 let image_min_depth t =
   match t.symmetry with
@@ -267,47 +276,55 @@ let image_min_depth t =
           t.image_oracle <- Some tbl;
           Hashtbl.find_opt tbl)
 
-let cascade_of_member t (member : member) =
-  if member.cost = 0 then []
-  else begin
-    let entries = Library.entries t.library in
-    let encoding = Library.encoding t.library in
-    let nb = Mvl.Encoding.num_binary encoding in
-    let signatures =
-      Array.init (Mvl.Encoding.size encoding) (Mvl.Encoding.mixed_signature encoding)
-    in
-    let depth_of = image_min_depth t in
-    let fp = Permgroup.Perm.to_array (Reversible.Revfun.to_perm member.func) in
-    let v = Bytes.init nb (fun b -> Char.chr fp.(b)) in
-    let u = Bytes.create nb in
-    let acc = ref [] in
-    for k = member.cost downto 1 do
-      let rec find g =
-        if g >= Array.length entries then
-          invalid_arg
-            "Fmcf.cascade_of_member: no backward step (member not from this census?)"
-        else begin
-          let e = entries.(g) in
-          let inv = e.Library.inverse_array in
-          let sg = ref 0 in
-          for b = 0 to nb - 1 do
-            let x = inv.(Char.code (Bytes.get v b)) in
-            Bytes.set u b (Char.chr x);
-            sg := !sg lor signatures.(x)
-          done;
-          if
-            !sg land e.Library.purity_mask = 0
-            && depth_of (Bytes.to_string u) = Some (k - 1)
-          then g
-          else find (g + 1)
-        end
-      in
-      let g = find 0 in
-      acc := entries.(g).Library.gate :: !acc;
-      Bytes.blit u 0 v 0 nb
-    done;
-    !acc
-  end
+let gate_indices t (member : member) =
+  let not_from_census () =
+    invalid_arg "Fmcf.gate_indices: no backward step (member not from this census?)"
+  in
+  let image = func_key member.func in
+  (* only a census member's own cost may seed the memo *)
+  (match Hashtbl.find_opt t.index image with
+  | Some m when m.cost = member.cost -> ()
+  | _ -> not_from_census ());
+  let entries = Library.entries t.library in
+  let encoding = Library.encoding t.library in
+  let nb = Mvl.Encoding.num_binary encoding in
+  let signature = Mvl.Encoding.mixed_signature encoding in
+  let depth_of = image_min_depth t in
+  (* [chain v k]: the reversed witness of image [v], of minimal depth [k] *)
+  let rec chain v k =
+    if k = 0 then []
+    else
+      match Hashtbl.find_opt t.chains v with
+      | Some c -> c
+      | None ->
+          let u = Bytes.create nb in
+          let rec peel g =
+            if g >= Array.length entries then not_from_census ()
+            else begin
+              let e = entries.(g) in
+              let inv = e.Library.inverse_array in
+              let sg = ref 0 in
+              for b = 0 to nb - 1 do
+                let x = inv.(Char.code v.[b]) in
+                Bytes.set u b (Char.chr x);
+                sg := !sg lor signature x
+              done;
+              let pre = Bytes.to_string u in
+              if !sg land e.Library.purity_mask = 0 && depth_of pre = Some (k - 1)
+              then g :: chain pre (k - 1)
+              else peel (g + 1)
+            end
+          in
+          let c = peel 0 in
+          Hashtbl.add t.chains v c;
+          c
+  in
+  List.rev (chain image member.cost)
+
+let cascade_of_member t member =
+  let entries = Library.entries t.library in
+  List.map (fun g -> entries.(g).Library.gate) (gate_indices t member)
+
 let members_at t ~cost =
   match List.find_opt (fun l -> l.cost = cost) t.levels with
   | Some l -> l.members

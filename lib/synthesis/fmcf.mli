@@ -111,8 +111,9 @@ val paper_counts_exact : t -> bool
 val depth : t -> int
 
 (** [iter_members t f] calls [f ~cost member] for every census member in
-    level order (cost 0 first) — the emission order of
-    {!Census_index.build}. *)
+    level order (cost 0 first).  {!Census_index.build} visits members in
+    this order but emits records sorted by func_key, so the order is not
+    visible in an index file. *)
 val iter_members : t -> (cost:int -> member -> unit) -> unit
 
 (** [counts t] is the per-level [(cost, |G[k]|)] under set semantics. *)
@@ -143,8 +144,22 @@ val find : t -> Reversible.Revfun.t -> member option
     library gate that steps to an image of minimal census depth exactly
     one lower; the choice depends only on the image -> minimal-depth
     relation, which the quotient preserves exactly.  Emitted QSYNIDX2
-    files are therefore byte-identical across modes. *)
+    files are therefore byte-identical across modes.
+
+    Because the peeled gate depends only on the image, the witness of an
+    image is the witness of its pre-image plus one gate.  [t] memoises
+    every image it has peeled, so each distinct image takes one backward
+    step over the life of the census, whatever order members are asked
+    in, and the answer does not depend on that order.  The memo makes
+    this function (and {!gate_indices}) unsafe to call from several
+    domains at once.
+
+    @raise Invalid_argument if [member] is not a member of [t]. *)
 val cascade_of_member : t -> member -> Cascade.t
+
+(** [gate_indices t member] is {!cascade_of_member} as indices into
+    [Library.entries], first gate first — the form the index stores. *)
+val gate_indices : t -> member -> int list
 
 (** [members_at t ~cost] is G[cost]. *)
 val members_at : t -> cost:int -> member list

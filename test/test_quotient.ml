@@ -1,8 +1,10 @@
 (* Symmetry-quotient parity tests: the quotiented census must be
    observationally identical to the raw one — Table 2, |S8[k]|, the exact
    1260 depth-7 members with equal costs and witness cascades, and
-   byte-identical QSYNIDX2 files — plus QCheck properties of the
-   canonical form and the jobs-independence of the quotient arena. *)
+   byte-identical QSYNIDX2 files; the exhaustive indexes pinned by
+   digest; witnesses independent of reconstruction order — plus QCheck
+   properties of the canonical form and the jobs-independence of the
+   quotient arena. *)
 
 open Synthesis
 
@@ -82,6 +84,81 @@ let test_index_byte_identity () =
   Census_index.save (Census_index.build (Lazy.force quot7)) path_quot;
   checkb "QSYNIDX2 files byte-identical" true
     (String.equal (read_file path_raw) (read_file path_quot))
+
+(* The exhaustive quotient index of each registered library, pinned by
+   the MD5 of its bytes.  A deliberate change to the witness rule moves
+   these pins, and only that should. *)
+let index_pins =
+  [
+    ("paper18", "7921723bbde1af4ac193f7d7a1fecc97");
+    ("nct", "3346513fa4e3c18510f1b67aa81ef412");
+    ("nft", "2f92e5bacc5c0e3ccae3f7cecd9395da");
+  ]
+
+let test_exhaustive_index_pins () =
+  List.iter
+    (fun (name, pin) ->
+      let library = Library.of_name ~qubits:3 name in
+      let census = Fmcf.run ~max_depth:13 ~quotient:true library in
+      with_temp_file @@ fun path ->
+      Census_index.save (Census_index.build census) path;
+      check Alcotest.string (name ^ " index digest") pin
+        (Digest.to_hex (Digest.file path));
+      let idx = Census_index.load ~verify:Full library path in
+      checkb (name ^ " index complete") true (Census_index.is_complete idx))
+    index_pins
+
+(* The witness memo answers the same gates whatever order members are
+   asked in: level order on one fresh census, deepest level first on
+   another. *)
+let witnesses ~deepest_first census =
+  let levels = Fmcf.levels census in
+  let levels = if deepest_first then List.rev levels else levels in
+  let tbl = Hashtbl.create 4096 in
+  List.iter
+    (fun (level : Fmcf.level) ->
+      List.iter
+        (fun m -> Hashtbl.replace tbl (func_key m) (Fmcf.gate_indices census m))
+        level.members)
+    levels;
+  tbl
+
+let check_same_witnesses what a b =
+  check Alcotest.int (what ^ ": member count") (Hashtbl.length a) (Hashtbl.length b);
+  Hashtbl.iter
+    (fun key gates ->
+      match Hashtbl.find_opt b key with
+      | Some gates' when gates = gates' -> ()
+      | Some _ -> Alcotest.failf "%s: witness differs" what
+      | None -> Alcotest.failf "%s: function missing" what)
+    a
+
+let test_memo_order () =
+  List.iter
+    (fun (name, _) ->
+      let library = Library.of_name ~qubits:3 name in
+      let run () = Fmcf.run ~max_depth:13 ~quotient:true library in
+      check_same_witnesses name
+        (witnesses ~deepest_first:false (run ()))
+        (witnesses ~deepest_first:true (run ())))
+    index_pins;
+  (* and across modes, each peeled in the other order *)
+  check_same_witnesses "raw vs quotient depth 6"
+    (witnesses ~deepest_first:true (Fmcf.run ~max_depth:6 library3))
+    (witnesses ~deepest_first:false (Fmcf.run ~max_depth:6 ~quotient:true library3));
+  (* a member the census does not hold, or holds at another cost, is
+     refused rather than memoised *)
+  let shallow = Fmcf.run ~max_depth:3 ~quotient:true library3 in
+  let deep = List.hd (Fmcf.members_at (Lazy.force quot7) ~cost:7) in
+  let cheap = List.hd (Fmcf.members_at shallow ~cost:2) in
+  List.iter
+    (fun m ->
+      match Fmcf.gate_indices shallow m with
+      | _ -> Alcotest.fail "foreign member accepted"
+      | exception Invalid_argument _ -> ())
+    [ deep; { cheap with cost = 3 } ];
+  check Alcotest.int "refusals leave the memo clean" 2
+    (List.length (Fmcf.gate_indices shallow cheap))
 
 (* {1 Canonical-form properties} *)
 
@@ -168,6 +245,9 @@ let () =
             test_members_parity;
           Alcotest.test_case "index byte-identity" `Quick
             test_index_byte_identity;
+          Alcotest.test_case "exhaustive index pins" `Quick
+            test_exhaustive_index_pins;
+          Alcotest.test_case "witness memo order" `Quick test_memo_order;
         ] );
       ( "canonical form",
         [

@@ -290,6 +290,37 @@ let test_census_metrics_snapshot () =
   | Some (Json.Int n) -> checki "state counter" (18 + 162 + 1017) n
   | _ -> Alcotest.fail "missing search.states.new counter"
 
+(* Index emission shows up in the span tree: build (with its witness
+   reconstruction as a child) and save, as `census --emit-index F
+   --metrics M` records them. *)
+let test_index_spans () =
+  fresh ();
+  let library = Synthesis.Library.make (Mvl.Encoding.make ~qubits:3) in
+  let census = Synthesis.Fmcf.run ~max_depth:3 library in
+  let path = Filename.temp_file "census" ".idx" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () -> Synthesis.Census_index.save (Synthesis.Census_index.build census) path);
+  let name span =
+    match Json.member "name" span with Some (Json.String n) -> n | _ -> ""
+  in
+  let children span =
+    match Json.member "children" span with Some (Json.List l) -> l | _ -> []
+  in
+  let roots =
+    match Json.member "spans" (snapshot ()) with
+    | Some (Json.List l) -> l
+    | _ -> Alcotest.fail "missing spans"
+  in
+  check
+    Alcotest.(list string)
+    "root spans"
+    [ "fmcf.run"; "census_index.build"; "census_index.save" ]
+    (List.map name roots);
+  let build = List.find (fun s -> name s = "census_index.build") roots in
+  checkb "witness reconstruction is a child of the build" true
+    (List.exists (fun s -> name s = "census_index.witnesses") (children build))
+
 (* O(1) census lookup regression (Fmcf.find via the func_key index) *)
 
 let test_fmcf_find_index () =
@@ -342,5 +373,6 @@ let () =
           Alcotest.test_case "metrics snapshot parses" `Quick
             test_census_metrics_snapshot;
           Alcotest.test_case "find uses the index" `Quick test_fmcf_find_index;
+          Alcotest.test_case "index build spans" `Quick test_index_spans;
         ] );
     ]
