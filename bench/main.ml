@@ -587,8 +587,8 @@ let reproduce_query_latency census =
    universe (5040 functions, all 40320 members of S8 through the
    Theorem-2 NOT cosets) is precomputed, so a cost-8 query — beyond any
    forward horizon — becomes the same O(log n) in-place probe as a
-   cost-2 one.  Measured: the offline build (raw census reused vs a
-   fresh symmetry-quotiented census, both swept with 4 domains), the
+   cost-2 one.  Measured: the offline build (one exhaustive
+   symmetry-quotiented census with 4 domains, then the index), the
    file size, the cold-start load (heap copy vs mmap, both with the
    default sampled verification a daemon start pays), and the p50/p99
    of cost-8 answers from the complete index against a warm
@@ -596,7 +596,7 @@ let reproduce_query_latency census =
    replacing the join by a probe is the point of the artifact. *)
 let complete_index_p99_gate = 100.
 
-let reproduce_complete_index census =
+let reproduce_complete_index () =
   hr "Complete index: total-coverage build, mmap cold start, O(1) probes";
   let timed f =
     let t0 = Unix.gettimeofday () in
@@ -623,30 +623,16 @@ let reproduce_complete_index census =
     let n = Array.length a in
     a.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
   in
-  let sweep c =
-    match Census_index.build_complete ~jobs:4 c with
-    | Some r -> r
-    | None -> failwith "complete-index: sweep cancelled"
+  (* build: one exhaustive symmetry-quotiented census to the diameter,
+     packed into the complete index *)
+  let build_t, complete =
+    timed (fun () ->
+        Census_index.build (Fmcf.run ~max_depth:13 ~jobs:4 ~quotient:true library3))
   in
-  (* build: the raw arm reuses the harness's canonical depth-7 census
-     (its wall-clock is the table2 experiment above) and times the sweep;
-     the quotient arm pays its own census so the row is self-contained *)
-  let raw_sweep_t, (complete, swept) = timed (fun () -> sweep census) in
-  timings := ("complete_index/sweep_raw", raw_sweep_t) :: !timings;
-  Format.printf "raw build:      sweep %8.3fs  (%d functions beyond the census)@."
-    raw_sweep_t swept;
-  let q_census_t, census_q =
-    timed (fun () -> Fmcf.run ~max_depth:7 ~jobs:4 ~quotient:true library3)
-  in
-  let q_sweep_t, (complete_q, _) = timed (fun () -> sweep census_q) in
-  timings := ("complete_index/build_quotient", q_census_t +. q_sweep_t) :: !timings;
-  Format.printf "quotient build: census %7.3fs + sweep %8.3fs@." q_census_t
-    q_sweep_t;
-  if Census_index.histogram complete <> Census_index.histogram complete_q then
-    failwith "complete-index: raw and quotient builds disagree on the spectrum";
-  let build_rows =
-    [ (false, None, raw_sweep_t); (true, Some q_census_t, q_sweep_t) ]
-  in
+  timings := ("complete_index/build_exhaustive", build_t) :: !timings;
+  Format.printf "build:          census -d 13 --quotient + index %8.3fs@." build_t;
+  if not (Census_index.is_complete complete) then
+    failwith "complete-index: the exhaustive census missed part of the universe";
   (* cold start: what a daemon pays before /readyz, sampled verify *)
   let path = Filename.temp_file "qsynth_bench_cidx" ".bin" in
   Census_index.save complete path;
@@ -748,8 +734,7 @@ let reproduce_complete_index census =
          "complete-index: p99 gate failed — probe %.6fs vs warm bidir %.6fs \
           (< %.0fx)"
          ip99 bp99 complete_index_p99_gate);
-  (build_rows, swept, file_bytes, heap_t, mmap_t,
-   (samples, ip50, ip99, bp50, bp99))
+  (build_t, file_bytes, heap_t, mmap_t, (samples, ip50, ip99, bp50, bp99))
 
 (* Server latency: the BENCH_5 experiment.  What does a client actually
    wait for?  The warm arm is the daemon's situation: one Service
@@ -1137,8 +1122,7 @@ let write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows
             ] );
         ("query_latency", Json.List (List.map query_json query_rows));
         ( "complete_index",
-          let ( build_rows,
-                swept,
+          let ( build_t,
                 file_bytes,
                 heap_t,
                 mmap_t,
@@ -1150,20 +1134,8 @@ let write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows
               ("universe", Json.Int 5040);
               ("coverage", Json.Int 40320);
               ("diameter", Json.Int 13);
-              ("swept_beyond_census", Json.Int swept);
               ("file_bytes", Json.Int file_bytes);
-              ( "builds",
-                Json.List
-                  (List.map
-                     (fun (quotient, census_t, sweep_t) ->
-                       Json.Obj
-                         (("quotient", Json.Bool quotient)
-                          ::
-                          (match census_t with
-                          | Some s -> [ ("census_seconds", Json.Float s) ]
-                          | None -> [ ("census_reused", Json.Bool true) ])
-                         @ [ ("sweep_seconds", Json.Float sweep_t) ]))
-                     build_rows) );
+              ("build_seconds", Json.Float build_t);
               ( "cold_start",
                 Json.Obj
                   [
@@ -1236,7 +1208,7 @@ let () =
   experiment "ext/rewrite" reproduce_rewrite;
   experiment "sec4/qrng" reproduce_qrng;
   let query_rows = reproduce_query_latency census in
-  let complete_index = reproduce_complete_index census in
+  let complete_index = reproduce_complete_index () in
   let server_latency = reproduce_server_latency census in
   let server_load = reproduce_server_load census in
   let parallel_rows = reproduce_parallel_census () in

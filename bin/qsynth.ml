@@ -302,7 +302,7 @@ let print_quotient_stats census =
 
 let census_cmd =
   let run finish_telemetry qubits depth jobs library_name paper_variant quotient
-      stats save emit_index complete max_states max_mem timeout =
+      stats save emit_index max_states max_mem timeout =
     guarded ~finish:finish_telemetry @@ fun () ->
     let library = Library.of_name ~qubits library_name in
     if paper_variant && not (Library.coset_reduction library) then
@@ -340,74 +340,15 @@ let census_cmd =
         Census_io.save ?note census path;
         Format.printf "saved census to %s@." path
     | None -> ());
-    (* --complete: extend the finished census to total coverage with the
-       Theorem-2 sweep, then print the coverage proof.  A partial census
-       (early stop) cannot anchor the sweep's lower bounds, so it falls
-       back to a plain partial index with a warning. *)
-    let sweep_cancelled = ref false in
-    let build_index () =
-      if complete && not (Library.coset_reduction library) then begin
-        (* No NOT-coset factor to enumerate: the Theorem-2 sweep does not
-           apply.  A full-group census that reached the library's diameter
-           already covers the whole universe, so [build] marks the index
-           complete by itself. *)
-        let index = Census_index.build census in
-        if Census_index.is_complete index then
-          Format.printf
-            "complete index: %d functions = all of S%d, max cost %d@."
-            (Census_index.size index) (1 lsl qubits)
-            (Census_index.depth index)
-        else
-          Format.eprintf
-            "warning: library %s has no coset sweep; the index covers %d of \
-             the universe's functions — run the census to the library's full \
-             diameter for a complete index@."
-            (Library.name library)
-            (Census_index.size index);
-        Some index
-      end
-      else if complete && reason = Fmcf.Completed then begin
-        match Census_index.build_complete ~jobs ~should_stop census with
-        | Some (index, swept) ->
-            let hist = Census_index.histogram index in
-            Format.printf
-              "complete index: %d zero-fixing functions (%d from the census, %d \
-               swept), coverage %d = %d x 2^%d members of S%d, max cost %d@."
-              (Census_index.size index)
-              (Census_index.size index - swept)
-              swept
-              (Census_index.coverage index)
-              (Census_index.size index) qubits (1 lsl qubits)
-              (Census_index.depth index);
-            Format.printf "spectrum |G[k]| :";
-            Array.iter (fun n -> Format.printf " %6d" n) hist;
-            Format.printf "@.";
-            Some index
-        | None ->
-            sweep_cancelled := true;
-            Format.eprintf "complete sweep interrupted; no index emitted@.";
-            None
-      end
-      else begin
-        if complete then
-          Format.eprintf
-            "warning: census stopped early (%s); emitting a partial index \
-             instead of a complete one@."
-            (Fmcf.describe_stop reason);
-        Some (Census_index.build census)
-      end
-    in
     (match emit_index with
-    | Some path -> (
-        match build_index () with
-        | Some index ->
-            Census_index.save index path;
-            Format.printf "census index: %d functions to cost %d%s -> %s@."
-              (Census_index.size index) (Census_index.depth index)
-              (if Census_index.is_complete index then " (complete)" else "")
-              path
-        | None -> ())
-    | None -> if complete then ignore (build_index ()));
+    | Some path ->
+        let index = Census_index.build census in
+        Census_index.save index path;
+        Format.printf "census index: %d functions to cost %d%s -> %s@."
+          (Census_index.size index) (Census_index.depth index)
+          (if Census_index.is_complete index then " (complete)" else "")
+          path
+    | None -> ());
     let counts = if paper_variant then Fmcf.paper_counts census else Fmcf.counts census in
     if Library.coset_reduction library then begin
       Format.printf "Table 2: number of circuits with cost k (%d qubits, depth %d%s)@."
@@ -444,7 +385,7 @@ let census_cmd =
     | None -> ());
     if Telemetry.enabled () then Telemetry.log_summary ();
     match reason with
-    | Fmcf.Completed -> if !sweep_cancelled then exit_interrupt else exit_ok
+    | Fmcf.Completed -> exit_ok
     | Fmcf.Timed_out -> exit_timeout
     | Fmcf.Budget_states | Fmcf.Budget_mem -> exit_budget
     | Fmcf.Cancelled -> exit_interrupt
@@ -485,22 +426,10 @@ let census_cmd =
                  $(docv).  Later $(b,qsynth synth --index) runs answer indexed \
                  functions by binary search instead of a BFS, and treat misses \
                  as a proven cost lower bound.  A partial census indexes the \
-                 completed horizon only; see $(b,--complete) for total \
-                 coverage.")
-  in
-  let complete_flag =
-    Arg.(value & flag & info [ "complete" ]
-           ~doc:"After the census, sweep every zero-fixing function it did \
-                 not reach with one meet-in-the-middle query each (against \
-                 the census's own forward wave, frozen and shared across \
-                 $(b,--jobs) domains; Theorem 2's NOT-coset factor is \
-                 enumerated, not searched), print the coverage proof and full \
-                 cost spectrum, and mark the $(b,--emit-index) file complete — \
-                 a daemon serving it answers every realizable request from \
-                 the index alone.  The emitted bytes are identical across \
-                 $(b,--jobs) and $(b,--quotient).  Requires a \
-                 census that ran to completion (not stopped by budget or \
-                 timeout).")
+                 completed horizon only; a census that holds the library's \
+                 whole universe (every registered 3-qubit library: \
+                 $(b,-d 13 --quotient), under a second) writes a complete \
+                 index, which never misses.")
   in
   let max_states_arg =
     Arg.(value & opt (some (pos_int ~what:"N")) None & info [ "max-states" ] ~docv:"N"
@@ -526,7 +455,7 @@ let census_cmd =
     Term.(
       const run $ telemetry_term $ qubits_arg $ depth_arg $ jobs_arg
       $ library_arg $ paper_flag $ quotient_flag $ stats_flag $ save_arg
-      $ emit_index_arg $ complete_flag $ max_states_arg $ max_mem_arg
+      $ emit_index_arg $ max_states_arg $ max_mem_arg
       $ timeout_arg)
 
 (* {1 The unified query surface}
@@ -624,8 +553,9 @@ let index_arg =
                (no BFS at all), and a miss proves the cost exceeds the index \
                depth — certifying 'no realization' outright when the index \
                covers $(b,--depth), or priming the bidirectional engine with \
-               the bound.  An index built with $(b,census --complete) never \
-               misses: every realizable request is answered from the file.  \
+               the bound.  A complete index ($(b,census -d 13 --quotient \
+               --emit-index)) never misses: every realizable request is \
+               answered from the file.  \
                Integrity (CRC, library and symmetry fingerprints, record \
                structure, cost histogram) is always validated at load, plus \
                a deterministic sample of witness replays; $(b,--verify-index) \
@@ -1382,61 +1312,45 @@ let describe_cmd =
 (* spectrum *)
 
 let spectrum_cmd =
-  let run finish_telemetry depth jobs library_name probe =
+  let run finish_telemetry depth jobs library_name =
     guarded ~finish:finish_telemetry @@ fun () ->
-    let library = Library.of_name ~qubits:3 library_name in
+    let qubits = 3 in
+    let library = Library.of_name ~qubits library_name in
     let t0 = Unix.gettimeofday () in
-    let census = Fmcf.run ~max_depth:depth ~jobs library in
-    Format.printf "census to depth %d: %.1fs, %d functions@." depth
+    let index =
+      Census_index.build (Fmcf.run ~max_depth:depth ~jobs ~quotient:true library)
+    in
+    Format.printf "census to depth %d (symmetry quotient): %.2fs, %d functions@."
+      depth
       (Unix.gettimeofday () -. t0)
-      (Fmcf.total_found census);
-    let spectrum = Spectrum.analyze census in
+      (Census_index.size index);
     Format.printf "exact costs:";
-    List.iter (fun (k, n) -> Format.printf " %d:%d" k n) spectrum.Spectrum.exact;
-    Format.printf "@.beyond the census: %d elements, lower bound %d@."
-      (List.length spectrum.Spectrum.bounds)
-      (depth + 1);
-    Format.printf "two-split upper bounds:";
-    List.iter
-      (fun (c, n) ->
-        if c = max_int then Format.printf " unresolved:%d" n
-        else Format.printf " %d:%d" c n)
-      (Spectrum.upper_histogram spectrum);
-    Format.printf "@.tight (exactly determined): %d of %d@."
-      spectrum.Spectrum.tight
-      (List.length spectrum.Spectrum.bounds);
-    if probe then begin
-      let t0 = Unix.gettimeofday () in
-      let completion = Spectrum.complete census spectrum in
-      Format.printf "frontier probes (%.1fs): |G[%d]| = %d, |G[%d]| = %d (exact)@."
-        (Unix.gettimeofday () -. t0)
-        (depth + 1) completion.Spectrum.probe_one (depth + 2)
-        completion.Spectrum.probe_two;
-      Format.printf "resolved tail:";
-      List.iter
-        (fun (c, n) -> Format.printf " %d:%d" c n)
-        completion.Spectrum.resolved_tail;
-      Format.printf "@.unresolved: %d@." completion.Spectrum.unresolved
-    end;
+    Array.iteri (fun k n -> Format.printf " %d:%d" k n) (Census_index.histogram index);
+    let members = 1 lsl qubits in
+    let rec factorial n = if n <= 1 then 1 else n * factorial (n - 1) in
+    let group_order = factorial members in
+    let coverage = Census_index.coverage index in
+    Format.printf "@.coverage: %d of the %d members of S%d%s@." coverage
+      group_order members
+      (if Census_index.is_complete index then " (complete)" else "");
+    if not (Census_index.is_complete index) then
+      Format.printf "beyond the census: %d members of S%d cost more than %d@."
+        (group_order - coverage) members depth;
     exit_ok
   in
   let depth_arg =
-    Arg.(value & opt int 7 & info [ "d"; "depth" ] ~docv:"K" ~doc:"Census depth.")
-  in
-  let probe_flag =
-    Arg.(value & flag & info [ "probe" ]
-           ~doc:"Also probe one and two levels past the census depth (exact, \
-                 memory-light, but slow: the probe re-walks the frontier without \
-                 deduplication).")
+    Arg.(value & opt int 13 & info [ "d"; "depth" ] ~docv:"K" ~doc:"Census depth.")
   in
   Cmd.v
     (Cmd.info "spectrum"
-       ~doc:"Complete the minimal-cost spectrum of the library's universe — \
+       ~doc:"Print the exact minimal-cost spectrum of the library's universe — \
              all 5040 NOT-free reversible functions under the paper's coset \
              reduction, all 40320 of S8 for a full-group library \
-             ($(b,--library) nct/nft): exact costs up to the census depth, \
-             provable bounds beyond.")
-    Term.(const run $ telemetry_term $ depth_arg $ jobs_arg $ library_arg $ probe_flag)
+             ($(b,--library) nct/nft) — from an exhaustive symmetry-quotiented \
+             census: the cost histogram, the coverage, and, when the census \
+             depth is below the library's diameter, how many functions cost \
+             more.")
+    Term.(const run $ telemetry_term $ depth_arg $ jobs_arg $ library_arg)
 
 (* draw *)
 

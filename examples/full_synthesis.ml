@@ -75,9 +75,8 @@ let () =
     exact_avg
     ((float_of_int weighted /. float_of_int total) -. exact_avg);
 
-  (* One concrete deep function: the cheapest two-split for a cost-13
-     function (any function outside the depth-10 census with two-split
-     bound 13 works); take the worst constructed cost observed. *)
+  (* The deepest functions: take the worst constructed cost observed
+     and compare it with the exact diameter. *)
   let worst_cost = List.fold_left (fun acc (c, _) -> max acc c) 0 costs in
   Format.printf "worst constructed cost: %d (exact worst case is 13)@." worst_cost;
 

@@ -6,21 +6,17 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let m_lookups = Telemetry.Counter.create "census_index.lookups"
 let m_hits = Telemetry.Counter.create "census_index.hits"
-let m_swept = Telemetry.Counter.create "census_index.sweep.functions"
 let c_bytes = Telemetry.Counter.create "census_index.write.bytes"
 let h_build = Telemetry.Histogram.create "census_index.build.seconds"
-let h_sweep = Telemetry.Histogram.create "census_index.sweep.seconds"
 
 (* The index is quotient-agnostic: {!build} consumes (func_key, cost,
    witness) triples from {!Fmcf} and sorts records by func_key, and a
    quotient census produces exactly the same triples as a raw one
    ({!Fmcf.cascade_of_member} reconstructs the same canonical witness in
    both modes), so index files emitted with and without [--quotient] are
-   byte-identical — the property the CI parity job diffs.  The same
-   holds for {!build_complete}: the sweep order is the lexicographic
-   order of the zero-fixing universe and results are committed by
-   function position, so the emitted file is byte-identical across
-   [--jobs] and [--quotient].
+   byte-identical — the property the CI parity job diffs.  A census run
+   until it holds the library's whole universe (qsynth census -d 13
+   --quotient) yields the complete index the same way.
 
    On-disk format (QSYNIDX2, little-endian), written atomically and
    CRC-sealed by {!Durable}:
@@ -249,20 +245,6 @@ let pack library ~depth ~complete rows =
 
 (* {1 Building from a census} *)
 
-(* Bidir answers carry gates, not library positions. *)
-let gate_indices library =
-  let table = Hashtbl.create 64 in
-  Array.iteri
-    (fun i (e : Library.entry) -> Hashtbl.replace table (Gate.name e.Library.gate) i)
-    (Library.entries library);
-  fun gate ->
-    match Hashtbl.find_opt table (Gate.name gate) with
-    | Some i -> i
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Census_index.build: gate %s not in the library"
-             (Gate.name gate))
-
 let census_rows census =
   Telemetry.Span.with_span "census_index.witnesses" @@ fun () ->
   let library = Search.library (Fmcf.search census) in
@@ -288,160 +270,6 @@ let build census =
     | None -> false
   in
   pack library ~depth:(Fmcf.depth census) ~complete rows
-
-(* {1 The complete-index sweep}
-
-   Theorem 2 decomposes S_{2^q} into 2^q NOT cosets over the zero-fixing
-   subgroup G, and {!Mce.strip_not_layer} reduces any query to its
-   zero-fixing remainder — so the coset factor is {e enumerated} (free)
-   and completeness only requires every member of G.  The forward census
-   supplies everything within its horizon; the sweep enumerates the
-   zero-fixing universe in lexicographic order and runs one bidirectional
-   query per still-missing function against a {e shared, frozen} forward
-   wave: [Bidir.of_search] caps forward growth at the census depth, so
-   concurrent sweep domains only read the wave and grow their private
-   backward waves.  Results are committed by function position, which
-   makes the packed file byte-identical across [--jobs]. *)
-
-let next_permutation a =
-  let n = Array.length a in
-  let swap i j =
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  in
-  let i = ref (n - 2) in
-  while !i >= 0 && a.(!i) >= a.(!i + 1) do
-    decr i
-  done;
-  if !i < 0 then false
-  else begin
-    let j = ref (n - 1) in
-    while a.(!j) <= a.(!i) do
-      decr j
-    done;
-    swap !i !j;
-    let l = ref (!i + 1) and r = ref (n - 1) in
-    while !l < !r do
-      swap !l !r;
-      incr l;
-      decr r
-    done;
-    true
-  end
-
-let build_complete ?(jobs = 1) ?(should_stop = fun () -> false) census =
-  if jobs < 1 then invalid_arg "Census_index.build_complete: jobs < 1";
-  Telemetry.Histogram.time h_sweep @@ fun () ->
-  let library, rows = census_rows census in
-  let nb = Mvl.Encoding.num_binary (Library.encoding library) in
-  let depth = Fmcf.depth census in
-  if not (Library.coset_reduction library) then
-    invalid_arg
-      (Printf.sprintf
-         "Census_index.build_complete: library %s has no coset reduction; a \
-          deep enough forward census (qsynth census) already yields a \
-          complete index"
-         (Library.name library));
-  (match universe library with
-  | Some _ -> ()
-  | None ->
-      invalid_arg
-        "Census_index.build_complete: zero-fixing universe too large to enumerate");
-  let present = Hashtbl.create (4 * List.length rows) in
-  List.iter (fun (key, _, _) -> Hashtbl.replace present key ()) rows;
-  (* every zero-fixing function the census has not already answered *)
-  let missing = ref [] in
-  let perm = Array.init (nb - 1) (fun i -> i + 1) in
-  let continue = ref true in
-  while !continue do
-    let key =
-      String.init nb (fun j -> Char.chr (if j = 0 then 0 else perm.(j - 1)))
-    in
-    if not (Hashtbl.mem present key) then
-      missing :=
-        Revfun.of_outputs ~bits:(Library.qubits library)
-          (0 :: Array.to_list perm)
-        :: !missing;
-    continue := next_permutation perm
-  done;
-  let missing = Array.of_list (List.rev !missing) in
-  let n_missing = Array.length missing in
-  Log.info (fun m ->
-      m "complete sweep: census holds %d of the zero-fixing universe, %d to sweep"
-        (List.length rows) n_missing);
-  let cancelled () = should_stop () in
-  let sweep_rows =
-    if n_missing = 0 then Some []
-    else begin
-      (* One shared query context over the census's own forward wave (or
-         a fresh raw wave warmed to the same depth when the census ran
-         quotiented — orbit keys carry no image vectors).  Either way the
-         forward side is frozen at [depth] before any domain starts. *)
-      let bidir =
-        if Fmcf.quotiented census then begin
-          let b = Bidir.create ~max_fwd_depth:depth library in
-          Bidir.warm ~should_stop b ~depth;
-          b
-        end
-        else Bidir.of_search (Fmcf.search census)
-      in
-      if cancelled () then None
-      else begin
-        let max_cost = max 15 (2 * depth) in
-        let lower_bound = depth + 1 in
-        let results = Array.make n_missing None in
-        let cursor = Atomic.make 0 in
-        let worker () =
-          let continue = ref true in
-          while !continue do
-            let i = Atomic.fetch_and_add cursor 1 in
-            if i >= n_missing || cancelled () then continue := false
-            else
-              results.(i) <-
-                Bidir.synthesize ~max_cost ~lower_bound ~should_stop bidir
-                  missing.(i)
-          done
-        in
-        let domains =
-          List.init (min (jobs - 1) (n_missing - 1)) (fun _ ->
-              Domain.spawn worker)
-        in
-        worker ();
-        List.iter Domain.join domains;
-        if cancelled () then None
-        else begin
-          let gate_index = gate_indices library in
-          let rows = ref [] in
-          Array.iteri
-            (fun i outcome ->
-              match outcome with
-              | None ->
-                  invalid_arg
-                    "Census_index.build_complete: sweep target beyond max_cost \
-                     (library not universal?)"
-              | Some o ->
-                  let key = func_key_bytes ~nb missing.(i) in
-                  rows :=
-                    ( Bytes.unsafe_to_string key,
-                      o.Bidir.cost,
-                      List.map gate_index o.Bidir.cascade )
-                    :: !rows)
-            results;
-          Some !rows
-        end
-      end
-    end
-  in
-  match sweep_rows with
-  | None ->
-      Log.info (fun m -> m "complete sweep cancelled");
-      None
-  | Some sweep_rows ->
-      Telemetry.Counter.add m_swept n_missing;
-      let rows = List.rev_append sweep_rows rows in
-      let max_cost = List.fold_left (fun acc (_, c, _) -> max acc c) 0 rows in
-      Some (pack library ~depth:max_cost ~complete:true rows, n_missing)
 
 (* {1 Lookup} *)
 
@@ -647,24 +475,32 @@ let of_storage ~verify library buf path =
       log_len;
     }
   in
-  (* structural record validation — always on, every record *)
+  (* structural record validation — always on, every record.  Each key
+     byte is read once: a key must be a function — nb distinct bytes
+     below nb (a permutation, by pigeonhole), fixing 0 under coset
+     reduction — and strictly greater than the previous record's key,
+     which [prev] holds.  [last_seen.(b)] is the last record whose key
+     held byte b, so a repeat within record i is caught without clearing
+     anything between records. *)
+  let fixes_zero = Library.coset_reduction library in
+  let last_seen = Array.make nb (-1) in
+  let prev = Array.make nb 0 in
   for i = 0 to count - 1 do
     let base = records_off + (i * rec_size nb) in
+    (* sign of (key - previous key) at the first differing byte *)
+    let order = ref 0 in
     for j = 0 to nb - 1 do
-      if st_u8 buf (base + j) >= nb then
-        corrupt "record %d: func_key byte outside the binary block" i
+      let b = st_u8 buf (base + j) in
+      if b >= nb then corrupt "record %d: func_key byte outside the binary block" i;
+      if last_seen.(b) = i then corrupt "record %d: func_key is not a permutation" i;
+      last_seen.(b) <- i;
+      if !order = 0 && b <> prev.(j) then order := if b > prev.(j) then 1 else -1;
+      prev.(j) <- b
     done;
-    if i > 0 then begin
-      let prev = base - rec_size nb in
-      let rec cmp j =
-        if j = nb then 0
-        else
-          let c = compare (st_u8 buf (base + j)) (st_u8 buf (prev + j)) in
-          if c <> 0 then c else cmp (j + 1)
-      in
-      if cmp 0 <= 0 then
-        corrupt "records out of order at %d (index not sorted or duplicated)" i
-    end;
+    if fixes_zero && prev.(0) <> 0 then
+      corrupt "record %d: func_key does not fix 0 under coset reduction" i;
+    if i > 0 && !order <= 0 then
+      corrupt "records out of order at %d (index not sorted or duplicated)" i;
     let cost = st_u8 buf (base + nb) in
     let off = st_u32 buf (base + nb + 1) in
     if cost > idx_depth then

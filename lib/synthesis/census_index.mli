@@ -10,17 +10,19 @@
     no BFS, no census — and turn misses into a proven cost lower bound
     for the meet-in-the-middle engine ({!Bidir}).
 
-    An index can moreover be {e complete}: {!build_complete} sweeps every
-    zero-fixing function the census missed with one bidirectional query
-    each, so the file covers the whole universe — for 3 qubits, all
-    [7! = 5040] zero-fixing functions, which by the Theorem-2 coset
-    decomposition answers all [8! = 40320] members of S₈ once
-    {!Mce.strip_not_layer} has peeled the NOT layer.  A complete index
-    never misses a well-formed query, so a daemon serving one needs no
-    search engine at all.  Completeness (plus the full cost histogram
-    and a coverage count) is recorded in the header.  Files in the older
-    [QSYNIDX1] format are refused with {!Durable.Mismatch}, whose message
-    names the command that rebuilds them.
+    An index can moreover be {e complete}: a census run to the
+    library's diameter ([qsynth census -d 13 --quotient] exhausts every
+    registered 3-qubit library in well under a second) holds every
+    function of the universe — for the paper's library all [7! = 5040]
+    zero-fixing functions, which by the Theorem-2 coset decomposition
+    answer all [8! = 40320] members of S₈ once {!Mce.strip_not_layer}
+    has peeled the NOT layer; for NCT and NFT all 40320 members of S₈
+    directly.  A complete index never misses a well-formed query, so a
+    daemon serving one needs no search engine at all.  Completeness
+    (plus the full cost histogram and a coverage count) is recorded in
+    the header.  Files in the older [QSYNIDX1] format are refused with
+    {!Durable.Mismatch}, whose message names the command that rebuilds
+    them.
 
     For the 3-qubit depth-7 census: 1260 records of 13 bytes plus a
     ~5.6 kB gate log — about 22 kB; the complete 5040-record index is
@@ -31,7 +33,8 @@ type t
 
 (** How much witness replay {!load}/{!load_mmap} perform beyond the
     always-on integrity checks (CRC-32, fingerprints, record sortedness
-    and bounds, histogram/coverage cross-checks): [Sample] replays a
+    and bounds, keys that are permutations — fixing 0 under coset
+    reduction — and histogram/coverage cross-checks): [Sample] replays a
     deterministic ~64-record stride, [Full] replays every record —
     proving the file correct by construction, not merely uncorrupted, at
     O(count·depth) load cost. *)
@@ -46,31 +49,10 @@ type verification = Sample | Full
     @raise Invalid_argument if a witness is inconsistent (engine bug). *)
 val build : Fmcf.t -> t
 
-(** [build_complete ?jobs ?should_stop census] extends [census] to a
-    {e complete} index: every zero-fixing function absent from the
-    census is enumerated (lexicographically — the Theorem-2 coset factor
-    costs nothing) and resolved with a bidirectional query against the
-    census's own forward wave, frozen at the census depth so [jobs]
-    worker domains share it read-only (a quotiented census gets a fresh
-    raw wave warmed to the same depth, since orbit-canonical keys carry
-    no image vectors).  Returns the index and the number of swept
-    functions; the bytes are identical regardless of [jobs] or
-    [--quotient].  [None] if [should_stop] fired before the sweep
-    finished.  The resulting {!depth} is the maximum cost over all
-    records ([2·census_depth] bounds it).
-    @raise Invalid_argument when [jobs < 1], when the library has no
-    coset reduction (a full-group universe completes by deepening the
-    forward census instead — the sweep's coset enumeration would be
-    unsound), when the universe is too large to enumerate (4+ qubits),
-    or if a sweep target exceeds every bound (the library is not
-    universal — impossible for the paper's 18-gate library). *)
-val build_complete :
-  ?jobs:int -> ?should_stop:(unit -> bool) -> Fmcf.t -> (t * int) option
-
 (** [depth t] is the cost horizon: every function of cost [<= depth] is
-    present, so a miss proves cost [>= depth + 1].  For a complete index
-    this is the maximum cost in the universe — 13 for 3 qubits under the
-    paper's library: the zero-fixing universe's diameter, whose spectrum
+    present, so a miss proves cost [>= depth + 1].  It is the depth the
+    census ran to, so [census -d 13] writes 13 — for the paper's library
+    also the zero-fixing universe's diameter, whose spectrum
     has a genuine empty level at cost 11 (legality constrains which gate
     may follow which image vector, so minimal-cost levels of the binary
     targets need not be contiguous). *)
@@ -113,9 +95,9 @@ val save : t -> string -> unit
 
 (** [load ?verify library path] reads the file into the heap and
     validates it: magic and CRC-32, format version, library and
-    symmetry fingerprints, shape, record sortedness and bounds, and the
-    histogram/coverage cross-checks; witness replay per [verify]
-    (default [Sample]).
+    symmetry fingerprints, shape, record sortedness and bounds, keys
+    that are functions, and the histogram/coverage cross-checks;
+    witness replay per [verify] (default [Sample]).
     @raise Durable.Corrupt on damage (truncation, CRC, structure,
     invalid witness);
     @raise Durable.Mismatch on a well-formed index for a different

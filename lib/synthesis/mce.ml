@@ -25,8 +25,8 @@ let note_fallback ~horizon ~max_depth ~engine =
         m
           "index horizon %d cannot answer a miss at max_depth %d: falling back \
            to %s (this partial index leaves every deeper query to a live \
-           search; build one with `census --complete --emit-index` to serve \
-           everything from the index)"
+           search; build a complete one with `census -d 13 --quotient \
+           --emit-index` to serve everything from the index)"
           horizon max_depth engine)
 let g_depth_reached = Telemetry.Gauge.create "mce.depth_reached"
 let h_search = Telemetry.Histogram.create "mce.search.seconds"

@@ -1,166 +1,6 @@
 open Reversible
 open Permgroup
 
-type element_bound = { func : Revfun.t; lower : int; upper : int }
-type t = { exact : (int * int) list; bounds : element_bound list; tight : int }
-
-let analyze census =
-  let library = Search.library (Fmcf.search census) in
-  if Library.qubits library <> 3 then
-    invalid_arg "Spectrum.analyze: only 3-qubit libraries are supported";
-  (* Exact costs from the census. *)
-  let cost_of = Hashtbl.create 8192 in
-  List.iter
-    (fun level ->
-      List.iter
-        (fun (m : Fmcf.member) ->
-          Hashtbl.replace cost_of (Perm.key (Revfun.to_perm m.Fmcf.func)) m.Fmcf.cost)
-        level.Fmcf.members)
-    (Fmcf.levels census);
-  let found =
-    List.concat_map
-      (fun level -> List.map (fun (m : Fmcf.member) -> m.Fmcf.func) level.Fmcf.members)
-      (Fmcf.levels census)
-  in
-  let census_depth =
-    List.fold_left (fun acc level -> max acc level.Fmcf.cost) 0 (Fmcf.levels census)
-  in
-  (* The universe the spectrum ranges over: the zero-fixing group G
-     (order 5040) under the paper's coset reduction, or all of S8 for a
-     full-group library (NCT, NFT). *)
-  let remaining =
-    if Library.coset_reduction library then
-      let group =
-        Universality.closure_of (Gates.g1 :: Universality.cnots ~bits:3)
-      in
-      Closure.fold
-        (fun p acc ->
-          if Hashtbl.mem cost_of (Perm.key p) then acc
-          else Revfun.of_perm ~bits:3 p :: acc)
-        group []
-    else begin
-      let next_permutation a =
-        let n = Array.length a in
-        let swap i j =
-          let tmp = a.(i) in
-          a.(i) <- a.(j);
-          a.(j) <- tmp
-        in
-        let i = ref (n - 2) in
-        while !i >= 0 && a.(!i) >= a.(!i + 1) do
-          decr i
-        done;
-        if !i < 0 then false
-        else begin
-          let j = ref (n - 1) in
-          while a.(!j) <= a.(!i) do
-            decr j
-          done;
-          swap !i !j;
-          let l = ref (!i + 1) and r = ref (n - 1) in
-          while !l < !r do
-            swap !l !r;
-            incr l;
-            decr r
-          done;
-          true
-        end
-      in
-      let a = Array.init 8 Fun.id in
-      let acc = ref [] in
-      let continue = ref true in
-      while !continue do
-        let p = Perm.of_array (Array.copy a) in
-        if not (Hashtbl.mem cost_of (Perm.key p)) then
-          acc := Revfun.of_perm ~bits:3 p :: !acc;
-        continue := next_permutation a
-      done;
-      !acc
-    end
-  in
-  (* Two-split upper bound: cost(h) + cost(h^-1 * g) over census members h.
-     Iterating h over the cheap members first lets us stop early once the
-     bound matches the lower bound. *)
-  let by_cost =
-    List.sort
-      (fun a b ->
-        Int.compare
-          (Hashtbl.find cost_of (Perm.key (Revfun.to_perm a)))
-          (Hashtbl.find cost_of (Perm.key (Revfun.to_perm b))))
-      found
-  in
-  let lower = census_depth + 1 in
-  let bound_of g =
-    let best = ref max_int in
-    (try
-       List.iter
-         (fun h ->
-           let ch = Hashtbl.find cost_of (Perm.key (Revfun.to_perm h)) in
-           if ch + 1 >= !best then raise Exit
-           else
-             let rest = Revfun.compose (Revfun.inverse h) g in
-             match Hashtbl.find_opt cost_of (Perm.key (Revfun.to_perm rest)) with
-             | Some c ->
-                 if ch + c < !best then best := ch + c;
-                 if !best <= lower then raise Exit
-             | None -> ())
-         by_cost
-     with Exit -> ());
-    { func = g; lower; upper = !best }
-  in
-  let bounds = List.map bound_of remaining in
-  let tight = List.length (List.filter (fun b -> b.lower = b.upper) bounds) in
-  { exact = Fmcf.counts census; bounds; tight }
-
-type completion = {
-  census_histogram : (int * int) list;
-  probe_one : int;
-  probe_two : int;
-  resolved_tail : (int * int) list;
-  unresolved : int;
-}
-
-let complete census t =
-  let search = Fmcf.search census in
-  let depth = Search.depth search in
-  let known = Hashtbl.create 8192 in
-  List.iter
-    (fun level ->
-      List.iter
-        (fun (m : Fmcf.member) ->
-          Hashtbl.replace known (Perm.key (Revfun.to_perm m.Fmcf.func)) ())
-        level.Fmcf.members)
-    (Fmcf.levels census);
-  let fresh probe =
-    Hashtbl.fold (fun key () acc -> if Hashtbl.mem known key then acc else key :: acc) probe []
-  in
-  let level1 = fresh (Search.probe_restrictions search ~steps:1) in
-  List.iter (fun key -> Hashtbl.replace known key ()) level1;
-  let level2 = fresh (Search.probe_restrictions search ~steps:2) in
-  List.iter (fun key -> Hashtbl.replace known key ()) level2;
-  (* Elements beyond d+2: cost >= d+3; exact when the two-split upper
-     bound meets that. *)
-  let tail = Hashtbl.create 8 in
-  let unresolved = ref 0 in
-  List.iter
-    (fun b ->
-      let key = Perm.key (Revfun.to_perm b.func) in
-      if not (Hashtbl.mem known key) then
-        if b.upper = depth + 3 then
-          Hashtbl.replace tail b.upper
-            (1 + Option.value ~default:0 (Hashtbl.find_opt tail b.upper))
-        else incr unresolved)
-    t.bounds;
-  {
-    census_histogram = t.exact;
-    probe_one = List.length level1;
-    probe_two = List.length level2;
-    resolved_tail =
-      Hashtbl.fold (fun cost n acc -> (cost, n) :: acc) tail []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b);
-    unresolved = !unresolved;
-  }
-
 let composer census =
   let library = Search.library (Fmcf.search census) in
   if Library.qubits library <> 3 then
@@ -235,13 +75,3 @@ let composer census =
     else None
 
 let express_upper census target = composer census target
-
-let upper_histogram t =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun b ->
-      Hashtbl.replace table b.upper
-        (1 + Option.value ~default:0 (Hashtbl.find_opt table b.upper)))
-    t.bounds;
-  Hashtbl.fold (fun cost n acc -> (cost, n) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)

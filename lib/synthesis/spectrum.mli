@@ -1,71 +1,16 @@
-(** Completing the cost spectrum of the group G beyond the census depth.
+(** Constructive synthesis by composing census witnesses.
 
-    The census (FMCF) gives exact minimal costs up to its depth bound.
-    For the remaining elements of G (the 5040 zero-fixing reversible
-    functions realizable without NOTs, Theorem 2), two facts give tight
-    bounds:
-
-    - {e lower bound}: an element absent from a depth-[d] census has cost
-      at least [d + 1];
-    - {e upper bound, by subadditivity}: if [g = h * h'] with [h], [h']
-      both in the census, the concatenation of their witness cascades is
-      itself a reasonable cascade for [g] — the first witness ends in a
-      binary-preserving circuit, whose binary-block image has an empty
-      mixed signature, so any gate (hence any reasonable cascade) may
-      follow.  Therefore [cost g <= cost h + cost h'].
-
-    When the two bounds meet, the cost is exact. *)
-
-type element_bound = {
-  func : Reversible.Revfun.t;
-  lower : int;
-  upper : int; (** [max_int] when no two-split exists (cannot happen for G) *)
-}
-
-type t = {
-  exact : (int * int) list; (** census histogram: cost -> count *)
-  bounds : element_bound list; (** elements beyond the census depth *)
-  tight : int; (** how many bounds are exact (lower = upper) *)
-}
-
-(** [analyze census] completes the spectrum of the group generated by the
-    census's library over its zero-fixing closure.  Only supports
-    3-qubit libraries (the closure ⟨CNOTs, Peres⟩ of order 5040).
-    @raise Invalid_argument for other widths. *)
-val analyze : Fmcf.t -> t
-
-(** [upper_histogram t] is the histogram of upper bounds for the
-    beyond-census elements. *)
-val upper_histogram : t -> (int * int) list
-
-(** {1 Completion by frontier probing}
-
-    {!Search.probe_restrictions} determines the {e exact} sets
-    G[d+1] and G[d+2] beyond a depth-[d] census without storing the
-    deeper BFS levels.  Combining census + probes + two-split upper
-    bounds can resolve the full spectrum: every element not accounted for
-    at cost <= d+2 has cost >= d+3, and when its two-split upper bound is
-    also d+3 the cost is exact. *)
-
-type completion = {
-  census_histogram : (int * int) list; (** exact costs 0..d *)
-  probe_one : int; (** |G[d+1]|, exact *)
-  probe_two : int; (** |G[d+2]|, exact *)
-  resolved_tail : (int * int) list;
-      (** exact histogram beyond d+2, when fully determined *)
-  unresolved : int; (** elements whose cost is still only bounded *)
-}
-
-(** [complete census spectrum] runs both probes on the census's search
-    state (which must not have been stepped past the census depth) and
-    resolves as much of the spectrum as possible. *)
-val complete : Fmcf.t -> t -> completion
-
-(** {1 Constructive synthesis beyond the census depth}
-
-    Deep censuses are expensive (depth 10 needs gigabytes); a cheap
-    census plus subadditive composition still yields a concrete —
-    possibly suboptimal — cascade for {e any} reversible function. *)
+    The exact cost spectrum of a library's universe comes from an
+    exhaustive census ([qsynth census -d 13 --quotient], or
+    [qsynth spectrum], which prints its histogram and coverage).  This
+    module answers a different question: given a {e shallow} census,
+    build a concrete — possibly suboptimal — cascade for {e any}
+    reversible function.  If [g = h * h'] with [h], [h'] both in the
+    census, the concatenation of their witness cascades is itself a
+    reasonable cascade for [g]: the first witness ends in a
+    binary-preserving circuit, whose binary-block image has an empty
+    mixed signature, so any gate (hence any reasonable cascade) may
+    follow.  Therefore [cost g <= cost h + cost h']. *)
 
 (** [composer census] precomputes, by Dijkstra over the zero-fixing group
     with census members as weighted generators, the cheapest {e

@@ -268,7 +268,50 @@ let test_index_rejects_forged_witness () =
   let forged = (original + 1) mod Library.size library3 in
   patch path ~pos:log_off (String.make 1 (Char.chr forged));
   refresh_crc path;
-  expect_corrupt "forged gate-log byte" (fun () -> reload path)
+  expect_corrupt "forged gate-log byte" (fun () -> reload path);
+  (* a record key that is not a function: record 1 (0,1,2,3,4,5,7,6)
+     becomes 0,1,2,3,4,5,7,7 — still sorted, every byte in range, and
+     outside the sampled replay stride, so only the structural key check
+     of the default load can refuse it *)
+  save_to path;
+  let key1 = records_off + rec_size in
+  check Alcotest.string "record 1 key" "\000\001\002\003\004\005\007\006"
+    (Bytes.sub_string (Durable.read_file path) key1 nb);
+  patch path ~pos:(key1 + nb - 1) "\007";
+  refresh_crc path;
+  List.iter
+    (fun (name, load) -> expect_corrupt name load)
+    [
+      ("key not a permutation (heap)", fun () -> ignore (Census_index.load library3 path));
+      ("key not a permutation (mmap)", fun () -> ignore (Census_index.load_mmap library3 path));
+    ];
+  (* keys out of order or repeated: records 1 and 2 swap keys, or record
+     2 repeats record 1's key (all still in-range zero-fixing
+     permutations, outside the sampled replay stride) *)
+  let key2 = key1 + rec_size in
+  List.iter
+    (fun (name, k1, k2) ->
+      save_to path;
+      let buf = Durable.read_file path in
+      let a = Bytes.sub_string buf k1 nb and b = Bytes.sub_string buf k2 nb in
+      patch path ~pos:key1 a;
+      patch path ~pos:key2 b;
+      refresh_crc path;
+      expect_corrupt name (fun () -> ignore (Census_index.load library3 path)))
+    [ ("records out of order", key2, key1); ("duplicate key", key1, key1) ];
+  (* and a permutation that moves 0 cannot stand for a zero-fixing
+     function under coset reduction: in the last record, swap the
+     leading 0 with the 1 — the key stays a sorted, in-range permutation *)
+  save_to path;
+  let last = records_off + ((census_total - 1) * rec_size) in
+  let key = Bytes.sub (Durable.read_file path) last nb in
+  let one = Bytes.index key '\001' in
+  Bytes.set key one '\000';
+  Bytes.set key 0 '\001';
+  patch path ~pos:last (Bytes.to_string key);
+  refresh_crc path;
+  expect_corrupt "key does not fix 0" (fun () ->
+      ignore (Census_index.load library3 path))
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in

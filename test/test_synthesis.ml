@@ -231,34 +231,6 @@ let test_search_all_cascades () =
         (Cascade.perm_of library3 c))
     all
 
-let test_search_probe_matches_census () =
-  (* Probing 1 and 2 levels past a depth-2 search recovers exactly the
-     new functions of G[3] and G[4]. *)
-  let census = Lazy.force census7 in
-  let search = Search.create library3 in
-  ignore (Search.step search);
-  ignore (Search.step search);
-  let known = Hashtbl.create 64 in
-  List.iter
-    (fun cost ->
-      List.iter
-        (fun (m : Fmcf.member) ->
-          Hashtbl.replace known (Permgroup.Perm.key (Reversible.Revfun.to_perm m.Fmcf.func)) ())
-        (Fmcf.members_at census ~cost))
-    [ 0; 1; 2 ];
-  let fresh probe =
-    Hashtbl.fold (fun k () acc -> if Hashtbl.mem known k then acc else k :: acc) probe []
-  in
-  let level3 = fresh (Search.probe_restrictions search ~steps:1) in
-  check Alcotest.int "G[3] via probe" 51 (List.length level3);
-  List.iter (fun k -> Hashtbl.replace known k ()) level3;
-  let level4 = fresh (Search.probe_restrictions search ~steps:2) in
-  check Alcotest.int "G[4] via probe" 84 (List.length level4);
-  checkb "steps out of range" true
-    (match Search.probe_restrictions search ~steps:3 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
 let test_search_restriction_of_key () =
   let search = Search.create library3 in
   let root = List.hd (Search.frontier search) in
@@ -783,7 +755,6 @@ let () =
           Alcotest.test_case "level sizes" `Quick test_search_levels;
           Alcotest.test_case "factorization" `Quick test_search_factorization;
           Alcotest.test_case "all cascades" `Quick test_search_all_cascades;
-          Alcotest.test_case "probe matches census" `Slow test_search_probe_matches_census;
           Alcotest.test_case "key utilities" `Quick test_search_restriction_of_key;
         ] );
       ( "fmcf",
