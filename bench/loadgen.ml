@@ -10,9 +10,7 @@ open Cmdliner
 module Json = Telemetry.Json
 module Mce = Synthesis.Mce
 
-let spec_of target =
-  String.concat ","
-    (List.map string_of_int (Reversible.Revfun.output_column target))
+let spec_of = Reversible.Spec.to_output_list
 
 (* Three distinct well-known gates plus one non-library permutation:
    enough key diversity that the daemon's cache and coalescer both see

@@ -4,11 +4,10 @@
    perf artifact BENCH_10.json (named experiment timings + bechamel
    estimates + parallel-census rows for jobs = 1/2/4 with the effective
    rank count + quotient-vs-raw census rows at depths 7 and 8 +
-   query-latency rows comparing the forward BFS, the
-   persistent census index and the meet-in-the-middle engine + the
-   complete-index section (total-coverage build raw vs quotient, file
-   size, heap vs mmap cold start, cost-8 probe p50/p99 against a warm
-   meet-in-the-middle engine with a >= 100x p99 gate) +
+   query-latency rows comparing the forward BFS with the persistent
+   census index + the complete-index section (total-coverage build,
+   file size, heap vs mmap cold start, cost-8 probe p50/p99 against the
+   forward BFS on cost-7 functions with a >= 100x p99 gate) +
    server-latency rows comparing a warm service against one-shot cold
    evaluation + the nft_census gate-library section timing Younes's NFT
    universe next to the paper's at depth 5 + the telemetry snapshot of
@@ -33,14 +32,11 @@ let library2 = Library.make (Mvl.Encoding.make ~qubits:2)
    speak — so the timings here measure the code path users run. *)
 
 let request ?task ?(max_depth = 7) target =
-  let spec =
-    String.concat ","
-      (List.map string_of_int (Reversible.Revfun.output_column target))
-  in
-  Mce.Request.make ?task ~qubits:(Reversible.Revfun.bits target) ~max_depth spec
+  Mce.Request.make ?task ~qubits:(Reversible.Revfun.bits target) ~max_depth
+    (Reversible.Spec.to_output_list target)
 
-let express ?index ?bidir ?max_depth library target =
-  Mce.Response.result_of (Mce.solve ?index ?bidir library (request ?max_depth target))
+let express ?index ?max_depth library target =
+  Mce.Response.result_of (Mce.solve ?index library (request ?max_depth target))
 
 let witnesses library target =
   match
@@ -506,23 +502,18 @@ let reproduce_quotient_census () =
     (bench2_baseline_seconds /. q7_dt);
   List.map (fun (d, q, dt, s, a, _, r) -> (d, q, dt, s, a, r)) rows
 
-(* Query latency: the BENCH_4 experiment.  One synthesis question, three
-   plans: the forward BFS of the paper, a binary search over the
+(* Query latency: the BENCH_4 experiment.  One synthesis question, two
+   plans: the forward BFS of the paper and a binary search over the
    persistent census index (round-tripped through the QSYNIDX2 file so
    the timed path is what a CLI user loads, validation included in the
-   load but not the lookup), and the meet-in-the-middle engine over a
-   warm shared context (the realistic shape for the second and later
-   queries of a session; the first query pays the forward wave).  Each
-   row takes the best of several runs.  The cost-8 row has no forward or
-   indexed column: that function is beyond the depth-7 horizon of both,
-   which is the point of the bidirectional plan. *)
+   load but not the lookup).  Each row takes the best of several
+   runs. *)
 let reproduce_query_latency census =
-  hr "Query latency: forward BFS vs census index vs meet-in-the-middle";
+  hr "Query latency: forward BFS vs census index";
   let path = Filename.temp_file "qsynth_bench_idx" ".bin" in
   Census_index.save (Census_index.build census) path;
   let index = Census_index.load library3 path in
   Sys.remove path;
-  let bidir = Bidir.create library3 in
   (* best of [n] samples, each sample timing [reps] back-to-back calls
      and reporting the per-call mean — indexed lookups run in well under
      a microsecond, below a single gettimeofday tick *)
@@ -544,43 +535,25 @@ let reproduce_query_latency census =
     | Some r -> r.Mce.cost
     | None -> failwith "query-latency: target not synthesized"
   in
-  let cost8 = Reversible.Spec.parse ~bits:3 "0,1,2,3,4,7,5,6" in
-  let rows =
-    List.map
-      (fun (name, target) ->
-        let forward, r = best 3 (fun () -> express library3 target) in
-        let indexed, r' =
-          best ~reps:1000 3 (fun () -> express ~index library3 target)
-        in
-        let bidir_t, r'' = best 10 (fun () -> express ~bidir library3 target) in
-        let cost = cost_of r in
-        if cost_of r' <> cost || cost_of r'' <> cost then
-          failwith (name ^ ": plans disagree on the minimal cost");
-        timings := (Printf.sprintf "query/%s/forward" name, forward) :: !timings;
-        timings := (Printf.sprintf "query/%s/indexed" name, indexed) :: !timings;
-        timings := (Printf.sprintf "query/%s/bidir" name, bidir_t) :: !timings;
-        Format.printf
-          "%-10s cost %d: forward %10.3f ms   indexed %10.4f ms (%.0fx)   bidir \
-           %10.3f ms (%.0fx)@."
-          name cost (1e3 *. forward) (1e3 *. indexed) (forward /. indexed)
-          (1e3 *. bidir_t) (forward /. bidir_t);
-        (name, cost, Some forward, Some indexed, bidir_t))
-      [
-        ("peres", Reversible.Gates.g1);
-        ("toffoli", Reversible.Gates.toffoli3);
-        ("fredkin", Reversible.Gates.fredkin3);
-      ]
-  in
-  let bidir_t, r8 =
-    best 3 (fun () -> express ~max_depth:14 ~index ~bidir library3 cost8)
-  in
-  let cost8_cost = cost_of r8 in
-  timings := ("query/cost8/bidir", bidir_t) :: !timings;
-  Format.printf
-    "%-10s cost %d: forward        — (beyond cb)              — \
-     bidir %8.3f ms@."
-    "cost8" cost8_cost (1e3 *. bidir_t);
-  rows @ [ ("cost8", cost8_cost, None, None, bidir_t) ]
+  List.map
+    (fun (name, target) ->
+      let forward, r = best 3 (fun () -> express library3 target) in
+      let indexed, r' =
+        best ~reps:1000 3 (fun () -> express ~index library3 target)
+      in
+      let cost = cost_of r in
+      if cost_of r' <> cost then
+        failwith (name ^ ": plans disagree on the minimal cost");
+      timings := (Printf.sprintf "query/%s/forward" name, forward) :: !timings;
+      timings := (Printf.sprintf "query/%s/indexed" name, indexed) :: !timings;
+      Format.printf "%-10s cost %d: forward %10.3f ms   indexed %10.4f ms (%.0fx)@."
+        name cost (1e3 *. forward) (1e3 *. indexed) (forward /. indexed);
+      (name, cost, forward, indexed))
+    [
+      ("peres", Reversible.Gates.g1);
+      ("toffoli", Reversible.Gates.toffoli3);
+      ("fredkin", Reversible.Gates.fredkin3);
+    ]
 
 (* Complete index: the BENCH_9 experiment.  The query-latency rows above
    stop indexing at the census horizon; here the whole zero-fixing
@@ -591,9 +564,11 @@ let reproduce_query_latency census =
    symmetry-quotiented census with 4 domains, then the index), the
    file size, the cold-start load (heap copy vs mmap, both with the
    default sampled verification a daemon start pays), and the p50/p99
-   of cost-8 answers from the complete index against a warm
-   meet-in-the-middle engine — with a hard >= 100x p99 gate, since
-   replacing the join by a probe is the point of the artifact. *)
+   of cost-8 answers from the complete index against the forward BFS
+   on cost-7 functions — the only search plan left, and the cheapest
+   question it can still answer at that depth — with a hard >= 100x p99
+   gate, since replacing the search by a probe is the point of the
+   artifact. *)
 let complete_index_p99_gate = 100.
 
 let reproduce_complete_index () =
@@ -645,11 +620,10 @@ let reproduce_complete_index () =
   Format.printf
     "cold start:     heap %9.4f ms   mmap %9.4f ms (%.1fx)   file %d bytes@."
     (1e3 *. heap_t) (1e3 *. mmap_t) (heap_t /. mmap_t) file_bytes;
-  (* p50/p99 over distinct cost-8 functions: the complete index answers
-     each with a probe; the warm engine pays a genuine bidirectional
-     join per function (this is the daemon's only alternative — cost 8
-     is beyond every forward horizon in this harness) *)
-  let cost8_targets =
+  (* p50/p99 over distinct cost-8 functions answered by a probe, and
+     over distinct cost-7 functions answered by the forward BFS (cost 8
+     is beyond the paper's cb = 7 horizon the forward search runs to) *)
+  let targets_of_cost cost ~limit =
     let acc = ref [] and n = ref 0 in
     let perm = Array.init 7 (fun i -> i + 1) in
     let next () =
@@ -679,10 +653,10 @@ let reproduce_complete_index () =
       end
     in
     let continue = ref true in
-    while !continue && !n < 48 do
+    while !continue && !n < limit do
       let func = Reversible.Revfun.of_outputs ~bits:3 (0 :: Array.to_list perm) in
       (match Census_index.find index func with
-      | Some (8, _) ->
+      | Some (c, _) when c = cost ->
           acc := func :: !acc;
           incr n
       | _ -> ());
@@ -690,6 +664,7 @@ let reproduce_complete_index () =
     done;
     List.rev !acc
   in
+  let cost8_targets = targets_of_cost 8 ~limit:48 in
   let samples = List.length cost8_targets in
   let probe_cost target =
     match express ~index ~max_depth:13 library3 target with
@@ -704,57 +679,60 @@ let reproduce_complete_index () =
         dt)
       cost8_targets
   in
-  let bidir = Bidir.create library3 in
-  (* the first join grows the forward wave; pay it before sampling *)
-  ignore (express ~bidir ~max_depth:13 library3 (List.hd cost8_targets));
-  let bidir_samples =
+  let cost7_targets = targets_of_cost 7 ~limit:5 in
+  let forward_samples =
     List.map
       (fun target ->
-        let dt, r = timed (fun () -> express ~bidir ~max_depth:13 library3 target) in
+        let dt, r = timed (fun () -> express library3 target) in
         (match r with
-        | Some { Mce.cost = 8; _ } -> ()
-        | _ -> failwith "complete-index: warm engine disagrees on cost 8");
+        | Some { Mce.cost = 7; _ } -> ()
+        | _ -> failwith "complete-index: forward BFS disagrees on cost 7");
         dt)
-      cost8_targets
+      cost7_targets
   in
   let ip50 = percentile index_samples 0.50
   and ip99 = percentile index_samples 0.99
-  and bp50 = percentile bidir_samples 0.50
-  and bp99 = percentile bidir_samples 0.99 in
+  and fp50 = percentile forward_samples 0.50
+  and fp99 = percentile forward_samples 0.99 in
+  let forward_n = List.length forward_samples in
   timings := ("complete_index/cost8_index_p99", ip99) :: !timings;
-  timings := ("complete_index/cost8_bidir_p99", bp99) :: !timings;
+  timings := ("complete_index/cost7_forward_p99", fp99) :: !timings;
   Format.printf
-    "cost-8 x%d:     index p50 %9.4f ms  p99 %9.4f ms   warm bidir p50 %9.3f ms  \
-     p99 %9.3f ms   p99 speedup %7.0fx@."
-    samples (1e3 *. ip50) (1e3 *. ip99) (1e3 *. bp50) (1e3 *. bp99)
-    (bp99 /. ip99);
-  if bp99 < complete_index_p99_gate *. ip99 then
+    "cost-8 x%d:     index p50 %9.4f ms  p99 %9.4f ms@.\
+     cost-7 x%d:      forward p50 %9.1f ms  p99 %9.1f ms   p99 speedup %7.0fx@."
+    samples (1e3 *. ip50) (1e3 *. ip99) forward_n (1e3 *. fp50) (1e3 *. fp99)
+    (fp99 /. ip99);
+  if fp99 < complete_index_p99_gate *. ip99 then
     failwith
       (Printf.sprintf
-         "complete-index: p99 gate failed — probe %.6fs vs warm bidir %.6fs \
+         "complete-index: p99 gate failed — probe %.6fs vs forward BFS %.6fs \
           (< %.0fx)"
-         ip99 bp99 complete_index_p99_gate);
-  (build_t, file_bytes, heap_t, mmap_t, (samples, ip50, ip99, bp50, bp99))
+         ip99 fp99 complete_index_p99_gate);
+  ( build_t,
+    file_bytes,
+    heap_t,
+    mmap_t,
+    (samples, ip50, ip99, forward_n, fp50, fp99) )
 
 (* Server latency: the BENCH_5 experiment.  What does a client actually
    wait for?  The warm arm is the daemon's situation: one Service
-   created once (census index loaded, bidir forward wave grown to the
-   warm depth), every query answered against read-only engine state.
-   The cold arm is the one-shot CLI's situation: each query pays
-   Census_index.load plus Service.create (including the warm-up) before
-   it can answer.  The response cache is disabled in both arms so every
-   sample measures the engine, not the LRU; the cost-7 row spreads its
-   samples over distinct census members so no two samples share a key.
-   The cost8 row goes through a real meet-in-the-middle join (beyond
-   the index horizon) in both arms. *)
+   created once around the complete index, every query answered against
+   read-only engine state.  The cold arm is the one-shot CLI's
+   situation: each query pays Census_index.load plus Service.create
+   before it can answer.  The response cache is disabled in both arms so
+   every sample measures the engine, not the LRU; the cost-7 row spreads
+   its samples over distinct census members so no two samples share a
+   key.  The complete index answers every row with a probe, the cost-8
+   row included. *)
 let reproduce_server_latency census =
   hr "Server latency: warm service vs one-shot cold (per uncached query)";
-  let warm_depth = 4 in
   let index_path = Filename.temp_file "qsynth_bench_srv_idx" ".bin" in
-  Census_index.save (Census_index.build census) index_path;
+  Census_index.save
+    (Census_index.build (Fmcf.run ~max_depth:13 ~quotient:true library3))
+    index_path;
   let make_service () =
     let index = Census_index.load library3 index_path in
-    Server.Service.create ~index ~warm_depth ~cache_capacity:0 library3
+    Server.Service.create ~index ~cache_capacity:0 library3
   in
   let percentile samples p =
     let a = Array.of_list samples in
@@ -774,7 +752,7 @@ let reproduce_server_latency census =
       ("fredkin", [ request Reversible.Gates.fredkin3 ], 30, 5);
       ( "cost8",
         [ request ~max_depth:8 (Reversible.Spec.parse ~bits:3 "0,1,2,3,4,7,5,6") ],
-        5, 3 );
+        30, 5 );
       ("cost7-members", List.map request cost7_members, 100, 5);
     ]
   in
@@ -818,7 +796,7 @@ let reproduce_server_latency census =
     rows
   |> fun server_rows ->
   Sys.remove index_path;
-  (warm_depth, server_rows)
+  server_rows
 
 (* Server load: the BENCH_6 experiment.  The latency rows above measure
    one client politely taking turns; this one offers an open-loop
@@ -837,9 +815,7 @@ let reproduce_server_load census =
   let index_path = Filename.temp_file "qsynth_bench_load_idx" ".bin" in
   Census_index.save (Census_index.build census) index_path;
   let index = Census_index.load library3 index_path in
-  let service =
-    Server.Service.create ~index ~warm_depth:4 ~cache_capacity:256 library3
-  in
+  let service = Server.Service.create ~index ~cache_capacity:256 library3 in
   let socket = Filename.temp_file "qsynth_bench_load" ".sock" in
   Sys.remove socket;
   let daemon =
@@ -1028,7 +1004,6 @@ let write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows
     ~quotient_rows ~query_rows ~complete_index ~server_latency ~server_load
     ~nft_census path =
   let open Telemetry in
-  let server_warm_depth, server_rows = server_latency in
   let server_row_json (name, warm_samples, wp50, wp99, cold_samples, cp50, cp99) =
     Json.Obj
       [
@@ -1042,17 +1017,14 @@ let write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows
         ("p99_speedup", Json.Float (cp99 /. wp99));
       ]
   in
-  let query_json (name, cost, forward, indexed, bidir) =
+  let query_json (name, cost, forward, indexed) =
     Json.Obj
-      (("name", Json.String name)
-       :: ("cost", Json.Int cost)
-       :: (match forward with
-          | Some s -> [ ("forward_seconds", Json.Float s) ]
-          | None -> [])
-      @ (match indexed with
-        | Some s -> [ ("indexed_seconds", Json.Float s) ]
-        | None -> [])
-      @ [ ("bidir_seconds", Json.Float bidir) ])
+      [
+        ("name", Json.String name);
+        ("cost", Json.Int cost);
+        ("forward_seconds", Json.Float forward);
+        ("indexed_seconds", Json.Float indexed);
+      ]
   in
   let json =
     Json.Obj
@@ -1126,7 +1098,7 @@ let write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows
                 file_bytes,
                 heap_t,
                 mmap_t,
-                (samples, ip50, ip99, bp50, bp99) ) =
+                (samples, ip50, ip99, forward_n, fp50, fp99) ) =
             complete_index
           in
           Json.Obj
@@ -1149,9 +1121,10 @@ let write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows
                     ("samples", Json.Int samples);
                     ("index_p50_seconds", Json.Float ip50);
                     ("index_p99_seconds", Json.Float ip99);
-                    ("warm_bidir_p50_seconds", Json.Float bp50);
-                    ("warm_bidir_p99_seconds", Json.Float bp99);
-                    ("p99_speedup", Json.Float (bp99 /. ip99));
+                    ("forward_cost7_samples", Json.Int forward_n);
+                    ("forward_cost7_p50_seconds", Json.Float fp50);
+                    ("forward_cost7_p99_seconds", Json.Float fp99);
+                    ("p99_speedup", Json.Float (fp99 /. ip99));
                     ( "p99_gate",
                       Json.String
                         (Printf.sprintf "enforced >= %.0fx"
@@ -1161,9 +1134,8 @@ let write_bench_json ~telemetry_snapshot ~bechamel_rows ~parallel_rows
         ( "server_latency",
           Json.Obj
             [
-              ("warm_depth", Json.Int server_warm_depth);
-              ("index_depth", Json.Int 7);
-              ("rows", Json.List (List.map server_row_json server_rows));
+              ("index_depth", Json.Int 13);
+              ("rows", Json.List (List.map server_row_json server_latency));
             ] );
         ( "server_load",
           Json.Obj

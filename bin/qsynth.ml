@@ -527,24 +527,11 @@ let print_response_human library t0 (resp : Mce.Response.t) =
 
 (* One-shot Synthesize for an already-parsed target (describe/draw). *)
 let solve_target ?(max_depth = 7) library target =
-  let spec =
-    String.concat ","
-      (List.map string_of_int (Reversible.Revfun.output_column target))
-  in
   let req =
-    Mce.Request.make ~qubits:(Reversible.Revfun.bits target) ~max_depth spec
+    Mce.Request.make ~qubits:(Reversible.Revfun.bits target) ~max_depth
+      (Reversible.Spec.to_output_list target)
   in
   Mce.Response.result_of (Mce.solve library req)
-
-let warm_depth_arg =
-  let doc =
-    "Build the meet-in-the-middle engine with its shared forward wave grown to \
-     exactly $(docv) and capped there.  Every query then runs against an \
-     immutable wave, which makes answers (and $(b,--json) bytes) a pure \
-     function of the request — match the daemon's $(b,--warm-depth) to \
-     reproduce its responses one-shot.  0 (the default) disables the engine."
-  in
-  Arg.(value & opt int 0 & info [ "warm-depth" ] ~docv:"D" ~doc)
 
 let index_arg =
   Arg.(value & opt (some input_path) None & info [ "index" ] ~docv:"FILE"
@@ -552,8 +539,8 @@ let index_arg =
                --emit-index): an indexed function costs one binary search \
                (no BFS at all), and a miss proves the cost exceeds the index \
                depth — certifying 'no realization' outright when the index \
-               covers $(b,--depth), or priming the bidirectional engine with \
-               the bound.  A complete index ($(b,census -d 13 --quotient \
+               covers $(b,--depth) (otherwise the forward BFS answers).  A \
+               complete index ($(b,census -d 13 --quotient \
                --emit-index)) never misses: every realizable request is \
                answered from the file.  \
                Integrity (CRC, library and symmetry fingerprints, record \
@@ -574,7 +561,7 @@ let verify_index_arg =
 
 let synth_cmd =
   let run finish_telemetry qubits depth jobs library_name all json index_path
-      verify_index use_bidir warm_depth spec =
+      verify_index spec =
     guarded ~finish:finish_telemetry @@ fun () ->
     let library = Library.of_name ~qubits library_name in
     let should_stop = install_cancel () in
@@ -595,15 +582,6 @@ let synth_cmd =
             (if Census_index.is_complete idx then " (complete)" else "")
       | None -> ()
     end;
-    let bidir =
-      if warm_depth > 0 then begin
-        let engine = Bidir.create ~jobs ~max_fwd_depth:warm_depth library in
-        Bidir.warm ~should_stop engine ~depth:warm_depth;
-        Some engine
-      end
-      else if use_bidir then Some (Bidir.create ~jobs library)
-      else None
-    in
     let task =
       if all then Mce.Request.Enumerate { limit = enumerate_limit }
       else Mce.Request.Synthesize
@@ -612,7 +590,7 @@ let synth_cmd =
       Mce.Request.make ~qubits ~library:library_name ~task ~max_depth:depth spec
     in
     let t0 = Unix.gettimeofday () in
-    let resp = Mce.solve ~jobs ~should_stop ?index ?bidir library req in
+    let resp = Mce.solve ~jobs ~should_stop ?index library req in
     if json then print_endline (Mce.Response.to_string resp)
     else print_response_human library t0 resp;
     response_exit resp
@@ -627,14 +605,6 @@ let synth_cmd =
                  and engine resources (schema: doc/API.md).  Suppresses the \
                  human report and client-side verification.")
   in
-  let bidir_flag =
-    Arg.(value & flag & info [ "bidir" ]
-           ~doc:"Use the meet-in-the-middle engine: a forward wave from the \
-                 identity joins a backward wave from the target, reaching cost \
-                 2x the forward depth — functions of cost 8+ that the forward \
-                 search cannot touch synthesize in seconds, with the same \
-                 exact-minimality guarantee.")
-  in
   let spec_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SPEC"
            ~doc:"Named circuit (toffoli, peres, g2, g3, g4, fredkin), 1-based \
@@ -648,7 +618,7 @@ let synth_cmd =
     Term.(
       const run $ telemetry_term $ qubits_arg $ depth_arg $ jobs_arg
       $ library_arg $ all_flag $ json_flag $ index_arg $ verify_index_arg
-      $ bidir_flag $ warm_depth_arg $ spec_arg)
+      $ spec_arg)
 
 (* serve *)
 
@@ -669,11 +639,11 @@ let serve_cmd =
       $ verbose_arg $ metrics_arg $ trace_arg)
   in
   let run (finish_telemetry, metrics_path) qubits jobs library_name
-      also_libraries socket index_path verify_index warm_depth workers
+      also_libraries socket index_path verify_index workers
       queue_capacity cache_capacity metrics_port trace_file slow_ms =
     guarded ~finish:finish_telemetry @@ fun () ->
-    (* Readiness: false until the index is loaded, the engine warmed and
-       the daemon accepting; false again the moment the drain begins —
+    (* Readiness: false until the index is loaded and the daemon
+       accepting; false again the moment the drain begins —
        scrapers see the flip before the Unix socket unlinks. *)
     let accepting = Atomic.make false in
     let daemon_ref = ref None in
@@ -731,7 +701,7 @@ let serve_cmd =
           (if Census_index.is_complete idx then " (complete)" else "")
     | None -> ());
     let service =
-      Server.Service.create ~jobs ?index ~warm_depth ~cache_capacity
+      Server.Service.create ~jobs ?index ~cache_capacity
         ~index_verify:verify ~libraries:secondary library
     in
     if secondary <> [] then
@@ -854,8 +824,7 @@ let serve_cmd =
                     repeatable).  Each extra library gets its own cold \
                     forward-BFS engine, so its answers are byte-identical to \
                     one-shot $(b,qsynth synth --json --library) $(docv); the \
-                    $(b,--index) and $(b,--warm-depth) engines stay bound to \
-                    the primary $(b,--library).  Requests naming a library \
+                    $(b,--index) stays bound to the primary $(b,--library).  Requests naming a library \
                     the daemon was not configured with fail with the \
                     'bad-request' error listing the configured ones."
                    (Arg.doc_alts_enum choices)))
@@ -886,7 +855,7 @@ let serve_cmd =
            ~doc:"Serve observability HTTP endpoints on 127.0.0.1:$(docv): \
                  $(b,/metrics) (Prometheus text exposition of the telemetry \
                  registry), $(b,/healthz) (liveness) and $(b,/readyz) \
-                 (readiness: 503 until the engine is warm and again once the \
+                 (readiness: 503 until the index is loaded and again once the \
                  drain begins; the 200 body is a one-line index summary — \
                  functions, depth, coverage, completeness).  0 picks an \
                  ephemeral port.")
@@ -915,9 +884,9 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve" ~exits:contract_exits
-       ~doc:"Run the synthesis daemon: one warm engine (census index + \
-             fixed-depth forward wave + meet-in-the-middle), shared by every \
-             client over a Unix-domain socket.  Drains gracefully on \
+       ~doc:"Run the synthesis daemon: one engine per library (the census \
+             index, else the forward BFS) behind a response cache, shared by \
+             every client over a Unix-domain socket.  Drains gracefully on \
              SIGTERM/SIGINT: stops accepting, answers everything already \
              accepted, unlinks the socket, exits 0.  SIGUSR1 dumps a live \
              telemetry snapshot to the $(b,--metrics) path.  SIGHUP \
@@ -927,7 +896,7 @@ let serve_cmd =
     Term.(
       const run $ serve_telemetry_term $ qubits_arg $ jobs_arg $ library_arg
       $ also_library_arg $ socket_arg $ index_arg $ verify_index_arg
-      $ warm_depth_arg $ workers_arg $ queue_arg $ cache_arg
+      $ workers_arg $ queue_arg $ cache_arg
       $ metrics_port_arg $ trace_file_arg $ slow_arg)
 
 (* query *)
@@ -960,15 +929,16 @@ let query_cmd =
       [
         ("auto", Mce.Request.Auto);
         ("index", Mce.Request.Index);
-        ("bidir", Mce.Request.Bidir);
         ("forward", Mce.Request.Forward);
       ]
     in
     Arg.(value & opt (enum plans) Mce.Request.Auto & info [ "plan" ] ~docv:"PLAN"
            ~doc:(Printf.sprintf
-                   "Pin the execution plan: %s.  $(b,auto) picks the cheapest \
-                    sound plan the daemon holds; pinned plans fail with the \
-                    'unsupported' error when the daemon lacks the engine."
+                   "Pin the execution plan: %s.  $(b,auto) probes the \
+                    daemon's index when it holds one and runs the forward BFS \
+                    otherwise; $(b,index) fails with the 'unsupported' error \
+                    when the daemon holds no index or the index cannot \
+                    certify a miss."
                    (Arg.doc_alts_enum plans)))
   in
   let count_flag =
@@ -1008,7 +978,7 @@ let m_client_retries = Telemetry.Counter.create "client.retries"
 
 let batch_cmd =
   let run finish_telemetry qubits jobs library_name socket index_path
-      verify_index warm_depth max_retries file =
+      verify_index max_retries file =
     guarded ~finish:finish_telemetry @@ fun () ->
     let ic = if file = "-" then stdin else open_in file in
     Fun.protect ~finally:(fun () -> if file <> "-" then close_in_noerr ic)
@@ -1042,8 +1012,8 @@ let batch_cmd =
             in
             attempt 0
       | None ->
-          (* no daemon: evaluate locally against one warm service, so a
-             whole file amortizes the same warm-up a daemon would *)
+          (* no daemon: evaluate locally against one service, so a whole
+             file shares one index load and one response cache *)
           let library = Library.of_name ~qubits library_name in
           let verify =
             if verify_index then Census_index.Full else Census_index.Sample
@@ -1052,8 +1022,7 @@ let batch_cmd =
             Option.map (Census_index.load ~verify library) index_path
           in
           let service =
-            Server.Service.create ~jobs ?index ~warm_depth
-              ~index_verify:verify library
+            Server.Service.create ~jobs ?index ~index_verify:verify library
           in
           let should_stop = install_cancel () in
           fun req -> Server.Service.answer ~should_stop service req
@@ -1120,12 +1089,12 @@ let batch_cmd =
   in
   Cmd.v
     (Cmd.info "batch" ~exits:contract_exits
-       ~doc:"Evaluate a JSONL file of requests — locally against one warm \
+       ~doc:"Evaluate a JSONL file of requests — locally against one \
              engine, or through a daemon with $(b,--socket).")
     Term.(
       const run $ telemetry_term $ qubits_arg $ jobs_arg $ library_arg
-      $ socket_opt_arg $ index_arg $ verify_index_arg $ warm_depth_arg
-      $ max_retries_arg $ file_arg)
+      $ socket_opt_arg $ index_arg $ verify_index_arg $ max_retries_arg
+      $ file_arg)
 
 (* table1 *)
 

@@ -58,7 +58,9 @@ let () =
       (fun target ->
         match
           ( Weighted.express library ~model:Cost_model.unit target,
-            Mce.express library target )
+            Mce.Response.result_of
+              (Mce.solve library
+                 (Mce.Request.make (Reversible.Spec.to_output_list target))) )
         with
         | Some w, Some m -> w.Weighted.cost = m.Mce.cost
         | _ -> false)

@@ -25,7 +25,11 @@ let () =
   (* Synthesis on the wider register: gates acting on any wire pair. *)
   List.iter
     (fun (name, target) ->
-      match Mce.express ~max_depth:3 library target with
+      let request =
+        Mce.Request.make ~qubits:4 ~max_depth:3
+          (Reversible.Spec.to_output_list target)
+      in
+      match Mce.Response.result_of (Mce.solve library request) with
       | Some r ->
           Format.printf "%s: cost %d, cascade %a, exact verification %b@." name
             r.Mce.cost Cascade.pp r.Mce.cascade

@@ -88,9 +88,7 @@ let () =
   List.iter
     (fun (name, target) ->
       let req =
-        Mce.Request.make ~qubits:3
-          (String.concat ","
-             (List.map string_of_int (Reversible.Revfun.output_column target)))
+        Mce.Request.make ~qubits:3 (Reversible.Spec.to_output_list target)
       in
       match Mce.Response.result_of (Mce.solve ~index library req) with
       | Some exact ->

@@ -18,8 +18,10 @@ let () =
   let target = Reversible.Gates.toffoli3 in
   Format.printf "target (Toffoli): %a@." Reversible.Revfun.pp target;
 
-  (* 3. Synthesize with the paper's MCE algorithm. *)
-  (match Mce.express library target with
+  (* 3. Synthesize with the paper's MCE algorithm: one request through
+     the unified query API (the same one the CLI and the daemon speak). *)
+  let request = Mce.Request.make (Reversible.Spec.to_output_list target) in
+  (match Mce.Response.result_of (Mce.solve library request) with
   | Some result ->
       Format.printf "minimal cost: %d@." result.Mce.cost;
       Format.printf "cascade: %a@." Cascade.pp result.Mce.cascade;

@@ -22,8 +22,7 @@ let time f =
 let request ?task target =
   Mce.Request.make ?task
     ~qubits:(Reversible.Revfun.bits target)
-    (String.concat ","
-       (List.map string_of_int (Reversible.Revfun.output_column target)))
+    (Reversible.Spec.to_output_list target)
 
 let witness_count library target =
   match (Mce.solve library (request ~task:Mce.Request.Count_witnesses target)).body with

@@ -33,7 +33,10 @@ let () =
   (* Costs of the three non-trivial named 2-bit circuits. *)
   List.iter
     (fun (name, target) ->
-      match Mce.express library target with
+      let request =
+        Mce.Request.make ~qubits:2 (Reversible.Spec.to_output_list target)
+      in
+      match Mce.Response.result_of (Mce.solve library request) with
       | Some r ->
           Format.printf "%s: cost %d, cascade %s%a, verified %b@." name r.Mce.cost
             (if r.Mce.not_mask = 0 then ""

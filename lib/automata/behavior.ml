@@ -41,28 +41,19 @@ let satisfied_by spec circuit =
   in
   go 0
 
-let synthesize ?(max_depth = 7) library spec =
+let synthesize ?max_depth library spec =
   let encoding = Library.encoding library in
   let nb = Mvl.Encoding.num_binary encoding in
   if Array.length spec <> nb then invalid_arg "Behavior.synthesize: spec arity";
-  let key_matches key =
+  let image_matches image =
     let rec go input =
       input >= nb
-      || (matches spec ~input (Mvl.Encoding.pattern encoding (Char.code key.[input]))
+      || (matches spec ~input (Mvl.Encoding.pattern encoding (Char.code image.[input]))
          && go (input + 1))
     in
     go 0
   in
-  let search = Search.create library in
-  let rec run () =
-    match List.filter key_matches (Search.frontier search) with
-    | key :: _ -> Some (Prob_circuit.of_cascade library (Search.cascade_of_key search key))
-    | [] ->
-        if Search.depth search >= max_depth then None
-        else if Search.step search = [] then None
-        else run ()
-  in
-  run ()
+  Prob_circuit.first_matching ?max_depth library image_matches
 
 let observe circuit =
   let qubits = Prob_circuit.qubits circuit in

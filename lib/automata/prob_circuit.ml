@@ -55,24 +55,31 @@ let point_spec library spec =
     points;
   points
 
-let synthesize ?(max_depth = 7) library spec =
+let first_matching ?(max_depth = 7) library matches =
+  let search = Search.create library in
+  let rec scan frontier =
+    match
+      Array.find_opt
+        (fun h -> matches (Search.binary_image_of_handle search h))
+        frontier
+    with
+    | Some h -> Some (of_cascade library (Search.cascade_of_handle search h))
+    | None ->
+        if Search.depth search >= max_depth then None
+        else
+          let next = Search.step_handles search in
+          if Array.length next = 0 then None else scan next
+  in
+  scan (Search.frontier_handles search)
+
+let synthesize ?max_depth library spec =
   let points = point_spec library spec in
   let nb = Array.length points in
-  let matches key =
-    let rec go i = i >= nb || (Char.code key.[i] = points.(i) && go (i + 1)) in
+  let matches image =
+    let rec go i = i >= nb || (Char.code image.[i] = points.(i) && go (i + 1)) in
     go 0
   in
-  let search = Search.create library in
-  let rec run () =
-    let matching = List.filter matches (Search.frontier search) in
-    match matching with
-    | key :: _ -> Some (of_cascade library (Search.cascade_of_key search key))
-    | [] ->
-        if Search.depth search >= max_depth then None
-        else if Search.step search = [] then None
-        else run ()
-  in
-  run ()
+  first_matching ?max_depth library matches
 
 let spec_of_strings library rows =
   let qubits = Library.qubits library in

@@ -50,6 +50,15 @@ type spec = Mvl.Pattern.t array
 val synthesize :
   ?max_depth:int -> Synthesis.Library.t -> spec -> t option
 
+(** [first_matching ?max_depth library matches] runs the forward BFS
+    level by level and returns the first circuit, in the engine's
+    canonical frontier order, whose binary image (byte [i] = the encoding
+    point binary input [i] maps to) satisfies [matches] — hence one of
+    minimal cost — or [None] within the depth bound (default 7).  The
+    shared loop behind {!synthesize} and {!Behavior.synthesize}. *)
+val first_matching :
+  ?max_depth:int -> Synthesis.Library.t -> (string -> bool) -> t option
+
 (** [spec_of_strings library rows] parses one output pattern per input
     code, e.g. [[ "000"; "001"; ...; "1,1,V0" ]]; wire values may be
     separated by commas or (for one-character values) concatenated.

@@ -10,6 +10,9 @@ let of_output_list ~bits s =
     invalid_arg "Spec.of_output_list: wrong number of outputs";
   Revfun.of_outputs ~bits outputs
 
+let to_output_list f =
+  String.concat "," (List.map string_of_int (Revfun.output_column f))
+
 let of_cycles ~bits s =
   Revfun.of_perm ~bits (Permgroup.Cycles.of_string ~degree:(1 lsl bits) s)
 

@@ -5,6 +5,11 @@
     @raise Invalid_argument on malformed input. *)
 val of_output_list : bits:int -> string -> Revfun.t
 
+(** [to_output_list f] is [f]'s truth-table output column in the syntax
+    {!of_output_list} reads: [of_output_list ~bits:(Revfun.bits f)
+    (to_output_list f) = f]. *)
+val to_output_list : Revfun.t -> string
+
 (** [of_cycles ~bits s] parses the paper's 1-based cycle notation over
     binary pattern labels, e.g. ["(7,8)"] for Toffoli.
     @raise Invalid_argument on malformed input. *)

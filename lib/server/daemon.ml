@@ -424,9 +424,7 @@ let start ?(workers = 2) ?(queue_capacity = 64)
   t.workers <- List.init workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t.accepter <- Some (Thread.create accept_loop t);
   Log.app (fun m ->
-      m "serving on %s (%d workers, queue %d, warm depth %d)" socket workers
-        queue_capacity
-        (Service.warm_depth service));
+      m "serving on %s (%d workers, queue %d)" socket workers queue_capacity);
   t
 
 let stop t =

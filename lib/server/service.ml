@@ -94,17 +94,15 @@ type flight = {
 }
 
 (* One evaluation engine per configured library.  The primary engine
-   (head of [engines]) owns the index and the warm forward wave; the
-   secondary engines answer their universe with a cold forward BFS —
-   exactly what a one-shot [synth --library NAME] does, so daemon and
-   one-shot answers stay byte-identical per library. *)
+   (head of [engines]) owns the index; the secondary engines answer
+   their universe with a cold forward BFS — exactly what a one-shot
+   [synth --library NAME] does, so daemon and one-shot answers stay
+   byte-identical per library. *)
 type engine = {
   e_library : Library.t;
   e_index : Census_index.t option Atomic.t;
       (* atomically swappable (SIGHUP hot reload); readers take one
          consistent snapshot per request with [Atomic.get] *)
-  e_bidir : Bidir.t option;
-  e_warm_depth : int;
 }
 
 type t = {
@@ -122,48 +120,12 @@ let publish_coverage index =
   Telemetry.Gauge.set_int g_coverage
     (match index with Some idx -> Census_index.coverage idx | None -> 0)
 
-let create ?(jobs = 1) ?index ?(warm_depth = 0) ?(cache_capacity = 1024)
+let create ?(jobs = 1) ?index ?(cache_capacity = 1024)
     ?(index_verify = Census_index.Sample) ?(libraries = []) library =
-  if warm_depth < 0 then invalid_arg "Service.create: negative warm_depth";
   if cache_capacity < 0 then invalid_arg "Service.create: negative cache_capacity";
   if jobs < 1 then invalid_arg "Service.create: jobs must be >= 1";
-  (* A complete index answers every realizable request by itself:
-     growing a forward wave behind it would burn seconds of startup (and
-     hundreds of MB) that no query can ever reach, so drop the warm-up
-     and run index-only. *)
-  let complete = match index with Some idx -> Census_index.is_complete idx | None -> false in
-  let warm_depth =
-    if complete && warm_depth > 0 then begin
-      Log.info (fun m ->
-          m "index is complete: skipping the depth-%d forward-wave warm-up \
-             (no realizable query can miss the index)"
-            warm_depth);
-      0
-    end
-    else warm_depth
-  in
-  let bidir =
-    if warm_depth = 0 then None
-    else begin
-      let engine = Bidir.create ~jobs ~max_fwd_depth:warm_depth library in
-      let t0 = Unix.gettimeofday () in
-      Bidir.warm engine ~depth:warm_depth;
-      Log.info (fun m ->
-          m "forward wave warmed to depth %d (%d states) in %.2fs"
-            (Bidir.fwd_depth engine) (Bidir.fwd_states engine)
-            (Unix.gettimeofday () -. t0));
-      Some engine
-    end
-  in
   publish_coverage index;
-  let primary_engine =
-    {
-      e_library = library;
-      e_index = Atomic.make index;
-      e_bidir = bidir;
-      e_warm_depth = warm_depth;
-    }
-  in
+  let primary_engine = { e_library = library; e_index = Atomic.make index } in
   let primary_name = Library.name library in
   let secondary =
     List.filter_map
@@ -174,14 +136,7 @@ let create ?(jobs = 1) ?index ?(warm_depth = 0) ?(cache_capacity = 1024)
           Log.info (fun m ->
               m "secondary engine: library %s (%d gates, cold forward BFS)"
                 name (Library.size lib));
-          Some
-            ( name,
-              {
-                e_library = lib;
-                e_index = Atomic.make None;
-                e_bidir = None;
-                e_warm_depth = 0;
-              } )
+          Some (name, { e_library = lib; e_index = Atomic.make None })
         end)
       libraries
   in
@@ -196,7 +151,6 @@ let create ?(jobs = 1) ?index ?(warm_depth = 0) ?(cache_capacity = 1024)
   }
 
 let library t = (primary t).e_library
-let warm_depth t = (primary t).e_warm_depth
 let libraries t = List.map fst t.engines
 
 let index_status t =
@@ -277,8 +231,7 @@ let evaluate t ~should_stop (req : Mce.Request.t) =
     | Some engine -> (
         try
           Mce.solve ~jobs:t.jobs ~should_stop:stop
-            ?index:(Atomic.get engine.e_index) ?bidir:engine.e_bidir
-            engine.e_library req
+            ?index:(Atomic.get engine.e_index) engine.e_library req
         with exn ->
           {
             Mce.Response.id = req.Mce.Request.id;

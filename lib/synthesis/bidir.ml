@@ -68,14 +68,14 @@ let absorb_handles t ?on_new handles =
       end)
     handles
 
-let create ?(jobs = 1) ?(max_fwd_depth = 7) library =
+let create ?(max_fwd_depth = 7) library =
   if max_fwd_depth < 0 then invalid_arg "Bidir.create: negative max_fwd_depth";
   (* The forward half is always a raw engine: the meet-in-the-middle
      join keys on exact binary images (t.images) and replays via/parent
      chains for the prefix cascade, neither of which survives orbit
-     canonicalization.  Bidir answers are therefore identical whether or
-     not the rest of the pipeline runs under --quotient. *)
-  let search = Search.create ~jobs library in
+     canonicalization — which is also what keeps the oracle independent
+     of the quotiented census it checks. *)
+  let search = Search.create library in
   let encoding = Library.encoding library in
   let degree = Mvl.Encoding.size encoding in
   let entries = Library.entries library in
@@ -95,22 +95,17 @@ let create ?(jobs = 1) ?(max_fwd_depth = 7) library =
   absorb_handles t (Search.handles_at_depth search 0);
   t
 
-let library t = t.library
 let fwd_depth t = Search.depth t.search
-let fwd_states t = Search.size t.search
 
-let rec warm ?(should_stop = fun () -> false) t ~depth =
+let rec warm t ~depth =
   if depth < 0 then invalid_arg "Bidir.warm: negative depth";
   let goal = min depth t.max_fwd_depth in
-  if (not t.fwd_exhausted) && Search.depth t.search < goal then
-    match Search.try_step t.search ~cancel:should_stop with
-    | None -> () (* cancelled: leave the wave at its current depth *)
-    | Some fresh ->
-        if Array.length fresh = 0 then t.fwd_exhausted <- true
-        else absorb_handles t fresh;
-        warm ~should_stop t ~depth
-
-exception Cancelled
+  if (not t.fwd_exhausted) && Search.depth t.search < goal then begin
+    let fresh = Search.step_handles t.search in
+    if Array.length fresh = 0 then t.fwd_exhausted <- true
+    else absorb_handles t fresh;
+    warm t ~depth
+  end
 
 (* Backward states, stored in parallel growable columns: the image
    vector, the gate that leads forward out of it, the successor id, and
@@ -177,11 +172,9 @@ type outcome = {
   bwd_states : int;
 }
 
-let no_stop () = false
 let infinite = max_int asr 2
 
-let synthesize ?(max_cost = 14) ?(lower_bound = 0) ?(should_stop = no_stop) t remainder
-    =
+let synthesize ?(max_cost = 14) t remainder =
   if Revfun.bits remainder <> Library.qubits t.library then
     invalid_arg "Bidir.synthesize: target bit width does not match the library";
   if not (Revfun.fixes_zero remainder) then
@@ -217,11 +210,9 @@ let synthesize ?(max_cost = 14) ?(lower_bound = 0) ?(should_stop = no_stop) t re
   | Some fh -> consider fh 0
   | None -> ());
   let grow_forward () =
-    match Search.try_step t.search ~cancel:should_stop with
-    | None -> raise Cancelled
-    | Some fresh ->
-        if Array.length fresh = 0 then t.fwd_exhausted <- true
-        else absorb_handles t ~on_new:(fun v fh -> probe_backward v fh) fresh
+    let fresh = Search.step_handles t.search in
+    if Array.length fresh = 0 then t.fwd_exhausted <- true
+    else absorb_handles t ~on_new:(fun v fh -> probe_backward v fh) fresh
   in
   let scratch = Bytes.create nb in
   let grow_backward () =
@@ -229,7 +220,6 @@ let synthesize ?(max_cost = 14) ?(lower_bound = 0) ?(should_stop = no_stop) t re
     let next = ref [] in
     List.iter
       (fun id ->
-        if should_stop () then raise Cancelled;
         let w = bwd.vec.(id) in
         for g = 0 to ngates - 1 do
           let inv = t.inverse_arrays.(g) in
@@ -260,12 +250,11 @@ let synthesize ?(max_cost = 14) ?(lower_bound = 0) ?(should_stop = no_stop) t re
   in
   let answered () =
     match !best with
-    | Some (c, _, _) -> c <= reach () || c <= lower_bound
+    | Some (c, _, _) -> c <= reach ()
     | None -> reach () >= max_cost
   in
   (try
      while not (answered ()) do
-       if should_stop () then raise Cancelled;
        let can_fwd =
          (not t.fwd_exhausted) && Search.depth t.search < t.max_fwd_depth
        in
@@ -280,13 +269,7 @@ let synthesize ?(max_cost = 14) ?(lower_bound = 0) ?(should_stop = no_stop) t re
        then grow_forward ()
        else grow_backward ()
      done
-   with
-  | Exit -> ()
-  | Cancelled ->
-      Log.info (fun m ->
-          m "query cancelled at forward depth %d, backward depth %d"
-            (Search.depth t.search) !bwd_depth);
-      best := None);
+   with Exit -> ());
   Telemetry.Counter.add m_bwd_states bwd.len;
   Telemetry.Gauge.set_int g_fwd_depth (Search.depth t.search);
   Telemetry.Gauge.set_int g_bwd_depth !bwd_depth;

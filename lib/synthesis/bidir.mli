@@ -1,4 +1,12 @@
-(** Meet-in-the-middle (bidirectional) minimum-cost synthesis.
+(** Meet-in-the-middle (bidirectional) minimum-cost synthesis — the
+    independent deep-cost oracle.
+
+    No serving path uses this engine: {!Mce.solve} answers from a
+    {!Census_index} or the forward BFS.  It stays as a second, structurally
+    different way to derive exact costs, so the test suite can re-derive
+    every cost-12/13 function of the complete paper18 index (and the
+    depth-7 census) without the symmetry quotient or the index-building code
+    that produced them.
 
     Grows a forward BFS wave from the identity circuit (the ordinary
     {!Search} engine) and, per query, a backward wave from the target,
@@ -13,47 +21,31 @@
     on either side probes the other side's table; the first join found
     is already a {e minimum}-cost realization, because every realization
     of cost [<= fwd_depth + bwd_depth] is provably discovered (see the
-    completeness argument in [bidir.ml]).
-
-    Reachable cost therefore {e doubles} relative to the forward-only
-    engine — two depth-D waves certify costs up to [2·D] — while the
-    forward wave is shared across queries: a context warmed to forward
-    depth [Df] answers any cost [<= Df] query with a single hashtable
-    lookup and certifies deeper costs by growing only the (cheap)
-    backward side. *)
+    completeness argument in [bidir.ml]).  Two depth-D waves therefore
+    certify costs up to [2·D], and the forward wave is shared across
+    queries. *)
 
 type t
 (** A reusable query context: the shared forward wave plus the
     vector-join index.  Queries grow the forward wave lazily and never
     shrink it. *)
 
-(** [create ?jobs ?max_fwd_depth library] builds an empty context.
-    [jobs] is the forward engine's worker-domain count (default 1).
+(** [create ?max_fwd_depth library] builds an empty context.
     [max_fwd_depth] (default 7) caps forward growth — the forward
     frontier multiplies by ~4.5 per level, while backward levels are
     cheap, so queries beyond the cap grow only the backward wave (which
     bounds certifiable cost by [max_fwd_depth + bwd_depth]).
-    @raise Invalid_argument when [max_fwd_depth < 0] or [jobs < 1]. *)
-val create : ?jobs:int -> ?max_fwd_depth:int -> Library.t -> t
-
-val library : t -> Library.t
+    @raise Invalid_argument when [max_fwd_depth < 0]. *)
+val create : ?max_fwd_depth:int -> Library.t -> t
 
 (** [fwd_depth t] is the current depth of the shared forward wave. *)
 val fwd_depth : t -> int
 
-(** [fwd_states t] is the number of forward states held. *)
-val fwd_states : t -> int
-
-(** [warm ?should_stop t ~depth] grows the shared forward wave to
-    [min depth max_fwd_depth] (or until the wave is exhausted) before any
-    query arrives — the daemon calls this once at startup so that, with
-    [max_fwd_depth] set to the same value, the forward side never grows
-    again and every query reads an immutable wave (the determinism
-    contract of {!Mce.solve}).  Idempotent; [should_stop] aborts the
-    warm-up early (the context stays usable at whatever depth it
-    reached).
+(** [warm t ~depth] grows the shared forward wave to
+    [min depth max_fwd_depth] (or until the wave is exhausted) before
+    the first query.  Idempotent.
     @raise Invalid_argument when [depth < 0]. *)
-val warm : ?should_stop:(unit -> bool) -> t -> depth:int -> unit
+val warm : t -> depth:int -> unit
 
 type outcome = {
   cascade : Cascade.t;  (** a minimum-cost realization of the target *)
@@ -63,24 +55,11 @@ type outcome = {
   bwd_states : int;  (** backward states explored by this query *)
 }
 
-(** [synthesize ?max_cost ?lower_bound ?should_stop t remainder] finds a
-    minimum-cost cascade whose binary restriction is [remainder] (which
-    must fix zero — strip the NOT layer first, as in {!Mce}), or [None]
-    when every realization costs more than [max_cost] (default 14).
-
-    [lower_bound] is external knowledge that no realization cheaper than
-    it exists (e.g. a {!Census_index} miss at depth [d] proves cost
-    [>= d+1]); a join at exactly the bound then answers without growing
-    either wave further.  [should_stop] is the cooperative cancellation
-    flag of {!Search.try_step}; when it fires the query stops cleanly
-    and returns [None].
+(** [synthesize ?max_cost t remainder] finds a minimum-cost cascade
+    whose binary restriction is [remainder] (which must fix zero — strip
+    the NOT layer first, as in {!Mce}), or [None] when every
+    realization costs more than [max_cost] (default 14).
 
     @raise Invalid_argument when [remainder] does not fix zero, its bit
     width does not match the library, or [max_cost < 0]. *)
-val synthesize :
-  ?max_cost:int ->
-  ?lower_bound:int ->
-  ?should_stop:(unit -> bool) ->
-  t ->
-  Reversible.Revfun.t ->
-  outcome option
+val synthesize : ?max_cost:int -> t -> Reversible.Revfun.t -> outcome option

@@ -8,7 +8,8 @@
     and CRC-32 primitives of {!Durable}) so that later [qsynth synth]
     invocations answer known functions with an in-place binary search —
     no BFS, no census — and turn misses into a proven cost lower bound
-    for the meet-in-the-middle engine ({!Bidir}).
+    (a certified "no realization" when the index depth covers the
+    request's bound).
 
     An index can moreover be {e complete}: a census run to the
     library's diameter ([qsynth census -d 13 --quotient] exhausts every

@@ -8,26 +8,25 @@ module Json = Telemetry.Json
 let m_queries = Telemetry.Counter.create "mce.queries"
 let m_realizations = Telemetry.Counter.create "mce.realizations"
 let m_plan_index = Telemetry.Counter.create "mce.plan.index"
-let m_plan_bidir = Telemetry.Counter.create "mce.plan.bidir"
 let m_plan_forward = Telemetry.Counter.create "mce.plan.forward"
 let m_plan_fallback = Telemetry.Counter.create "mce.plan.fallback_reason"
 
 (* One warning per process the first time a partial index fails to
-   answer and the planner silently reaches for a search engine — the
+   answer and the planner silently reaches for the forward BFS — the
    situation is correct but surprising (the fix is a deeper census or a
    complete index), so say why once instead of spamming per query. *)
 let fallback_logged = Atomic.make false
 
-let note_fallback ~horizon ~max_depth ~engine =
+let note_fallback ~horizon ~max_depth =
   Telemetry.Counter.incr m_plan_fallback;
   if not (Atomic.exchange fallback_logged true) then
     Log.warn (fun m ->
         m
           "index horizon %d cannot answer a miss at max_depth %d: falling back \
-           to %s (this partial index leaves every deeper query to a live \
-           search; build a complete one with `census -d 13 --quotient \
+           to a forward BFS (this partial index leaves every deeper query to \
+           a live search; build a complete one with `census -d 13 --quotient \
            --emit-index` to serve everything from the index)"
-          horizon max_depth engine)
+          horizon max_depth)
 let g_depth_reached = Telemetry.Gauge.create "mce.depth_reached"
 let h_search = Telemetry.Histogram.create "mce.search.seconds"
 
@@ -107,10 +106,10 @@ let search_until ~max_depth ~jobs ~should_stop library remainder =
 
 (* {1 The unified query API} *)
 
-let column_spec f = String.concat "," (List.map string_of_int (Revfun.output_column f))
+let column_spec = Spec.to_output_list
 
 module Request = struct
-  type plan = Auto | Index | Bidir | Forward
+  type plan = Auto | Index | Forward
   type task = Synthesize | Count_witnesses | Enumerate of { limit : int }
 
   type t = {
@@ -139,14 +138,16 @@ module Request = struct
   let plan_to_string = function
     | Auto -> "auto"
     | Index -> "index"
-    | Bidir -> "bidir"
     | Forward -> "forward"
 
   let plan_of_string = function
     | "auto" -> Ok Auto
     | "index" -> Ok Index
-    | "bidir" -> Ok Bidir
     | "forward" -> Ok Forward
+    | "bidir" ->
+        Error
+          "plan \"bidir\" was removed: the meet-in-the-middle tier no longer \
+           serves requests; use \"auto\" (a complete index answers every cost)"
     | s -> Error (Printf.sprintf "unknown plan %S" s)
 
   let task_to_json = function
@@ -274,7 +275,7 @@ module Request = struct
 end
 
 module Response = struct
-  type plan_used = Trivial | Index_hit | Index_certified | Bidir_meet | Forward_bfs
+  type plan_used = Trivial | Index_hit | Index_certified | Forward_bfs
 
   type payload =
     | Synthesized of {
@@ -341,14 +342,12 @@ module Response = struct
     | Trivial -> "trivial"
     | Index_hit -> "index"
     | Index_certified -> "index-certified"
-    | Bidir_meet -> "bidir"
     | Forward_bfs -> "forward"
 
   let plan_of_string = function
     | "trivial" -> Ok Trivial
     | "index" -> Ok Index_hit
     | "index-certified" -> Ok Index_certified
-    | "bidir" -> Ok Bidir_meet
     | "forward" -> Ok Forward_bfs
     | s -> Error (Printf.sprintf "unknown plan %S" s)
 
@@ -572,56 +571,12 @@ module Response = struct
     | _ -> None
 end
 
-(* {1 Shared queries}
-
-   One BFS serves every question about a target (minimal cascade,
-   witness count, all realizations): [run_query] runs the search once
-   and the [query_*] accessors read it. *)
-
-type outcome =
-  | Trivial  (** the remainder is the identity: cost 0, NOT layer only *)
-  | Not_found  (** no realization within the depth bound (or cancelled) *)
-  | Found of { search : Search.t; witnesses : string list }
-
-type query = { q_target : Revfun.t; q_mask : int; q_outcome : outcome }
 
 (* Theorem 2's free NOT layer exists only under coset reduction; a
    full-group library (NCT, NFT) prices NOTs like any gate, so the
    target is searched whole. *)
 let coset_split library target =
   if Library.coset_reduction library then strip_not_layer target else (0, target)
-
-let run_query ?(max_depth = 7) ?(jobs = 1) ?(should_stop = no_stop) library target =
-  let mask, remainder = coset_split library target in
-  let outcome =
-    if Revfun.is_identity remainder then Trivial
-    else
-      match search_until ~max_depth ~jobs ~should_stop library remainder with
-      | None -> Not_found
-      | Some (search, witnesses) -> Found { search; witnesses }
-  in
-  { q_target = target; q_mask = mask; q_outcome = outcome }
-
-let query_result q =
-  match q.q_outcome with
-  | Trivial ->
-      Some { target = q.q_target; not_mask = q.q_mask; cascade = []; cost = 0 }
-  | Not_found -> None
-  | Found { search; witnesses } ->
-      let cascade = Search.cascade_of_key search (List.hd witnesses) in
-      Some
-        {
-          target = q.q_target;
-          not_mask = q.q_mask;
-          cascade;
-          cost = List.length cascade;
-        }
-
-let query_witnesses q =
-  match q.q_outcome with
-  | Trivial -> 1
-  | Not_found -> 0
-  | Found { witnesses; _ } -> List.length witnesses
 
 (* Walk witnesses until the budget runs out: each [all_cascades] call is
    bounded by what remains, so the total never exceeds [limit].  Also
@@ -640,36 +595,17 @@ let enumerate_cascades ~limit search witnesses =
     witnesses;
   (List.rev !acc, !remaining > 0)
 
-let query_realizations ?(limit = 10_000) q =
-  match q.q_outcome with
-  | Trivial ->
-      if limit <= 0 then []
-      else [ { target = q.q_target; not_mask = q.q_mask; cascade = []; cost = 0 } ]
-  | Not_found -> []
-  | Found { search; witnesses } ->
-      let cascades, _complete = enumerate_cascades ~limit search witnesses in
-      List.map
-        (fun cascade ->
-          {
-            target = q.q_target;
-            not_mask = q.q_mask;
-            cascade;
-            cost = List.length cascade;
-          })
-        cascades
-
 (* {1 The evaluator}
 
-   [solve] picks the cheapest sound plan for the request:
-   1. index hit — the exact cost and a witness in O(log n), no search;
-   2. index miss at depth d — proven lower bound cost >= d+1: a
-      certified Unrealizable when d >= max_depth, else fall through with
-      the bound (which lets the bidirectional engine stop at first join);
-   3. bidirectional — meet-in-the-middle over the shared context;
-   4. forward BFS — the original algorithm. *)
+   [solve] has two plans for a synthesis question:
+   1. the index — a hit is the exact cost and a witness in O(log n); a
+      miss at horizon d proves cost >= d+1, a certified Unrealizable
+      when d >= max_depth;
+   2. otherwise the forward BFS — the paper's algorithm, which also
+      answers every counting and enumeration task. *)
 
-let solve ?(jobs = 1) ?(should_stop = no_stop) ?index ?bidir library
-    (req : Request.t) : Response.t =
+let solve ?(jobs = 1) ?(should_stop = no_stop) ?index library (req : Request.t) :
+    Response.t =
   let open Request in
   let respond body : Response.t =
     { id = req.id; trace = None; qubits = req.qubits; body }
@@ -692,42 +628,23 @@ let solve ?(jobs = 1) ?(should_stop = no_stop) ?index ?bidir library
     | Error msg -> fail (Response.Bad_request msg)
     | Ok target -> (
         let mask, remainder = coset_split library target in
-        let found plan cascade =
-          ok plan
-            (Response.Synthesized
-               { target; not_mask = mask; cascade; cost = List.length cascade })
+        let unrealizable plan =
+          ok plan (Response.Unrealizable { max_depth = req.max_depth })
         in
-        let forward_synthesize () =
+        (* Run the forward BFS; [None] means no witness within the bound,
+           and a cancelled search answers [Cancelled] instead. *)
+        let forward k =
           match
             search_until ~max_depth:req.max_depth ~jobs ~should_stop library
               remainder
           with
-          | None ->
-              if should_stop () then fail Response.Cancelled
-              else
-                ok Response.Forward_bfs
-                  (Response.Unrealizable { max_depth = req.max_depth })
+          | None -> if should_stop () then fail Response.Cancelled else k None
           | Some (search, witnesses) ->
               Telemetry.Counter.incr m_plan_forward;
-              found Response.Forward_bfs
-                (Search.cascade_of_key search (List.hd witnesses))
-        in
-        let bidir_synthesize ~lower_bound engine =
-          Telemetry.Counter.incr m_plan_bidir;
-          match
-            Bidir.synthesize ~max_cost:req.max_depth ~lower_bound ~should_stop
-              engine remainder
-          with
-          | Some o -> found Response.Bidir_meet o.Bidir.cascade
-          | None ->
-              if should_stop () then fail Response.Cancelled
-              else
-                ok Response.Bidir_meet
-                  (Response.Unrealizable { max_depth = req.max_depth })
+              k (Some (search, witnesses))
         in
         match req.task with
-        | Count_witnesses | Enumerate _
-          when req.plan <> Auto && req.plan <> Forward ->
+        | Count_witnesses | Enumerate _ when req.plan = Index ->
             fail
               (Response.Unsupported
                  "witness counting and enumeration run on the forward plan only")
@@ -736,18 +653,14 @@ let solve ?(jobs = 1) ?(should_stop = no_stop) ?index ?bidir library
         | Count_witnesses ->
             if Revfun.is_identity remainder then
               ok Response.Trivial (Response.Witnesses { count = 1 })
-            else (
-              match
-                search_until ~max_depth:req.max_depth ~jobs ~should_stop library
-                  remainder
-              with
-              | None ->
-                  if should_stop () then fail Response.Cancelled
-                  else ok Response.Forward_bfs (Response.Witnesses { count = 0 })
-              | Some (_, witnesses) ->
-                  Telemetry.Counter.incr m_plan_forward;
-                  ok Response.Forward_bfs
-                    (Response.Witnesses { count = List.length witnesses }))
+            else
+              forward (fun found ->
+                  let count =
+                    match found with
+                    | None -> 0
+                    | Some (_, witnesses) -> List.length witnesses
+                  in
+                  ok Response.Forward_bfs (Response.Witnesses { count }))
         | Enumerate { limit } ->
             if Revfun.is_identity remainder then
               ok Response.Trivial
@@ -759,103 +672,68 @@ let solve ?(jobs = 1) ?(should_stop = no_stop) ?index ?bidir library
                      cascades = (if limit > 0 then [ [] ] else []);
                      complete = limit > 0;
                    })
-            else (
-              match
-                search_until ~max_depth:req.max_depth ~jobs ~should_stop library
-                  remainder
-              with
-              | None ->
-                  if should_stop () then fail Response.Cancelled
-                  else
-                    ok Response.Forward_bfs
-                      (Response.Unrealizable { max_depth = req.max_depth })
-              | Some (search, witnesses) ->
-                  Telemetry.Counter.incr m_plan_forward;
-                  let cascades, complete =
-                    enumerate_cascades ~limit search witnesses
-                  in
-                  let cost =
-                    match cascades with c :: _ -> List.length c | [] -> 0
-                  in
-                  ok Response.Forward_bfs
-                    (Response.Realizations
-                       { target; not_mask = mask; cost; cascades; complete }))
-        | Synthesize -> (
-            if Revfun.is_identity remainder then
-              found Response.Trivial []
             else
-              match req.plan with
-              | Forward -> forward_synthesize ()
-              | Bidir -> (
-                  match bidir with
-                  | None ->
-                      fail
-                        (Response.Unsupported
-                           "no meet-in-the-middle context on this evaluator \
-                            (daemon started without bidir, or synth run \
-                            without --bidir)")
-                  | Some engine -> bidir_synthesize ~lower_bound:1 engine)
-              | Index -> (
-                  match index with
-                  | None ->
-                      fail
-                        (Response.Unsupported
-                           "no census index on this evaluator (daemon started \
-                            without --index, or synth run without --index)")
-                  | Some idx -> (
-                      match Census_index.find idx remainder with
-                      | Some (cost, cascade) ->
-                          Telemetry.Counter.incr m_plan_index;
-                          if cost <= req.max_depth then
-                            ok Response.Index_hit
-                              (Response.Synthesized
-                                 { target; not_mask = mask; cascade; cost })
-                          else
-                            ok Response.Index_certified
-                              (Response.Unrealizable { max_depth = req.max_depth })
-                      | None ->
-                          if Census_index.is_complete idx then
-                            fail
-                              (Response.Internal
-                                 "complete index failed to answer a zero-fixing \
-                                  remainder — the index does not match this \
-                                  library")
-                          else if Census_index.depth idx >= req.max_depth then begin
-                            Telemetry.Counter.incr m_plan_index;
-                            ok Response.Index_certified
-                              (Response.Unrealizable { max_depth = req.max_depth })
-                          end
-                          else
-                            fail
-                              (Response.Unsupported
-                                 (Printf.sprintf
-                                    "index horizon %d cannot certify max_depth \
-                                     %d on a miss; use plan auto to fall \
-                                     through"
-                                    (Census_index.depth idx) req.max_depth))))
-              | Auto -> (
+              forward (function
+                | None -> unrealizable Response.Forward_bfs
+                | Some (search, witnesses) ->
+                    let cascades, complete =
+                      enumerate_cascades ~limit search witnesses
+                    in
+                    (* the witnesses' level is the minimal cost, even when
+                       the limit leaves the list empty *)
+                    ok Response.Forward_bfs
+                      (Response.Realizations
+                         {
+                           target;
+                           not_mask = mask;
+                           cost = Search.depth search;
+                           cascades;
+                           complete;
+                         }))
+        | Synthesize -> (
+            let found plan cascade =
+              ok plan
+                (Response.Synthesized
+                   { target; not_mask = mask; cascade; cost = List.length cascade })
+            in
+            let forward_synthesize () =
+              forward (function
+                | None -> unrealizable Response.Forward_bfs
+                | Some (search, witnesses) ->
+                    found Response.Forward_bfs
+                      (Search.cascade_of_key search (List.hd witnesses)))
+            in
+            let probe idx =
+              match Census_index.find idx remainder with
+              | Some (cost, cascade) ->
+                  Telemetry.Counter.incr m_plan_index;
+                  Log.debug (fun m -> m "index hit: cost %d" cost);
+                  `Hit (cost, cascade)
+              | None ->
+                  (* A complete index cannot miss a zero-fixing remainder
+                     of the library's width: every such function has a
+                     record.  Never silently search past this — it means
+                     the file and the library disagree despite the
+                     fingerprints. *)
+                  if Census_index.is_complete idx then `Broken
+                  else begin
+                    Log.debug (fun m ->
+                        m "index miss: cost >= %d proven" (Census_index.depth idx + 1));
+                    `Miss (Census_index.depth idx)
+                  end
+            in
+            if Revfun.is_identity remainder then found Response.Trivial []
+            else
+              match (req.plan, index) with
+              | Forward, _ -> forward_synthesize ()
+              | Index, None ->
+                  fail
+                    (Response.Unsupported
+                       "no census index on this evaluator (daemon started \
+                        without --index, or synth run without --index)")
+              | (Auto | Index), _ -> (
                   let probe =
-                    match index with
-                    | None -> `No_index
-                    | Some idx -> (
-                        match Census_index.find idx remainder with
-                        | Some (cost, cascade) ->
-                            Telemetry.Counter.incr m_plan_index;
-                            Log.debug (fun m -> m "index hit: cost %d" cost);
-                            `Hit (cost, cascade)
-                        | None ->
-                            (* A complete index cannot miss a zero-fixing
-                               remainder of the library's width: every such
-                               function has a record.  Never silently search
-                               past this — it means the file and the library
-                               disagree despite the fingerprints. *)
-                            if Census_index.is_complete idx then `Broken
-                            else begin
-                              Log.debug (fun m ->
-                                  m "index miss: cost >= %d proven"
-                                    (Census_index.depth idx + 1));
-                              `Miss (Census_index.depth idx)
-                            end)
+                    match index with None -> `No_index | Some idx -> probe idx
                   in
                   match probe with
                   | `Hit (cost, cascade) ->
@@ -863,51 +741,31 @@ let solve ?(jobs = 1) ?(should_stop = no_stop) ?index ?bidir library
                         ok Response.Index_hit
                           (Response.Synthesized
                              { target; not_mask = mask; cascade; cost })
-                      else
-                        ok Response.Index_certified
-                          (Response.Unrealizable { max_depth = req.max_depth })
+                      else unrealizable Response.Index_certified
                   | `Broken ->
                       fail
                         (Response.Internal
                            "complete index failed to answer a zero-fixing \
                             remainder — the index does not match this library")
-                  | (`No_index | `Miss _) as probe ->
-                      let lower_bound =
-                        match probe with `Miss d -> d + 1 | `No_index -> 1
-                      in
-                      if lower_bound > req.max_depth then begin
-                        (* the index horizon covers the whole depth bound: a
-                           miss is a certified Unrealizable, no search needed *)
+                  | (`No_index | `Miss _) as probe -> (
+                      (* the remainder is not the identity, so its cost is
+                         at least 1 even with no index *)
+                      let horizon = match probe with `Miss d -> d | `No_index -> 0 in
+                      if horizon >= req.max_depth then begin
                         Telemetry.Counter.incr m_plan_index;
-                        ok Response.Index_certified
-                          (Response.Unrealizable { max_depth = req.max_depth })
+                        unrealizable Response.Index_certified
                       end
-                      else begin
-                        (match probe with
-                        | `Miss horizon ->
-                            note_fallback ~horizon ~max_depth:req.max_depth
-                              ~engine:
-                                (match bidir with
-                                | Some _ -> "the meet-in-the-middle engine"
-                                | None -> "a forward BFS")
-                        | `No_index -> ());
-                        match bidir with
-                        | Some engine -> bidir_synthesize ~lower_bound engine
-                        | None -> forward_synthesize ()
-                      end)))
-
-(* {1 Legacy entry points} *)
-
-let express ?(max_depth = 7) ?jobs ?should_stop ?index ?bidir library target =
-  let req =
-    Request.make
-      ~qubits:(Revfun.bits target)
-      ~library:(Library.name library) ~max_depth (column_spec target)
-  in
-  Response.result_of (solve ?jobs ?should_stop ?index ?bidir library req)
-
-let all_realizations ?max_depth ?(limit = 10_000) ?jobs ?should_stop library target =
-  query_realizations ~limit (run_query ?max_depth ?jobs ?should_stop library target)
-
-let distinct_witnesses ?max_depth ?jobs ?should_stop library target =
-  query_witnesses (run_query ?max_depth ?jobs ?should_stop library target)
+                      else
+                        match (req.plan, probe) with
+                        | Index, _ ->
+                            fail
+                              (Response.Unsupported
+                                 (Printf.sprintf
+                                    "index horizon %d cannot certify max_depth \
+                                     %d on a miss; use plan auto to fall \
+                                     through"
+                                    horizon req.max_depth))
+                        | _, `Miss horizon ->
+                            note_fallback ~horizon ~max_depth:req.max_depth;
+                            forward_synthesize ()
+                        | _, `No_index -> forward_synthesize ()))))

@@ -12,20 +12,21 @@
     answer: the payload, the plan actually used, and either an exact
     cost certificate or a typed error.  {!solve} evaluates a request
     against whatever engine resources the caller holds (a
-    {!Census_index}, a warm {!Bidir} context, or nothing but the
-    library).  The same pair travels over all four transports: the
+    {!Census_index}, or nothing but the library).  The same pair
+    travels over all four transports: the
     one-shot [qsynth synth --json] command, the [qsynth serve] daemon's
     socket protocol, the [qsynth query] client, and [qsynth batch]
     JSONL files — see doc/API.md for the wire schema.
 
-    Three execution plans produce a synthesis answer, tried cheapest
-    first under {!Request.plan} [Auto]:
+    Two execution plans produce a synthesis answer under
+    {!Request.plan} [Auto]:
     - a {!Census_index} lookup (exact cost + witness, no search; a miss
       proves a cost lower bound, and certifies unrealizability outright
-      when the index horizon covers the depth bound);
-    - the meet-in-the-middle engine ({!Bidir}), when a shared context is
-      supplied;
-    - the forward BFS of the paper, as always. *)
+      when the index horizon covers the depth bound) — a complete index
+      ([census -d 13 --quotient --emit-index]) answers every cost this
+      way;
+    - otherwise the forward BFS of the paper, bounded by the request's
+      [max_depth] (the paper's cb). *)
 
 type result = {
   target : Reversible.Revfun.t;
@@ -43,11 +44,13 @@ val strip_not_layer : Reversible.Revfun.t -> int * Reversible.Revfun.t
 (** {1 The unified query API} *)
 
 module Request : sig
-  (** Which engine may answer.  [Auto] picks the cheapest sound plan
-      available (index, then bidir, then forward); the other values pin
-      one engine and fail with [Unsupported] when the evaluator does not
-      hold it. *)
-  type plan = Auto | Index | Bidir | Forward
+  (** Which engine may answer.  [Auto] probes the index when the
+      evaluator holds one and runs the forward BFS otherwise; the other
+      values pin one engine, and [Index] fails with [Unsupported] when
+      the evaluator holds no index or its horizon cannot certify a miss.
+      The wire value ["bidir"], a plan that no longer exists, is refused
+      by {!of_json}. *)
+  type plan = Auto | Index | Forward
 
   type task =
     | Synthesize  (** one minimal-cost cascade (the default) *)
@@ -117,7 +120,8 @@ module Request : sig
       typo'd field name cannot silently change a query's meaning, and a
       [library] value outside {!Library.Registry.names} is rejected
       here, at the parse boundary (the daemon maps that to
-      [Bad_request]).  Missing optional fields take the {!make}
+      [Bad_request]).  So is the removed plan ["bidir"], with a message
+      that says so.  Missing optional fields take the {!make}
       defaults.  [of_json (to_json t) = Ok t] for every [t] whose
       library is registered. *)
   val of_json : Telemetry.Json.t -> (t, string) Stdlib.result
@@ -132,7 +136,6 @@ module Response : sig
     | Index_certified
         (** a {!Census_index} miss whose horizon covers the depth bound:
             unrealizability is proven without any search *)
-    | Bidir_meet  (** the meet-in-the-middle engine *)
     | Forward_bfs  (** the paper's forward BFS *)
 
   type payload =
@@ -183,7 +186,7 @@ module Response : sig
   val equal : t -> t -> bool
 
   (** [plan_to_string p] is the wire name of [p] ("trivial", "index",
-      "index-certified", "bidir", "forward") — also the value of the
+      "index-certified", "forward") — also the value of the
       slow-query log's [plan] field. *)
   val plan_to_string : plan_used -> string
 
@@ -210,11 +213,11 @@ module Response : sig
   val of_string : string -> (t, string) Stdlib.result
 
   (** [result_of t] extracts a {!result} from a [Synthesized] body
-      (convenience for callers migrating from [express]). *)
+      ([None] for any other payload or an error). *)
   val result_of : t -> result option
 end
 
-(** [solve ?jobs ?should_stop ?index ?bidir library request] evaluates a
+(** [solve ?jobs ?should_stop ?index library request] evaluates a
     request against this process's engine resources and never raises:
     every failure mode is a typed {!Response.error}.
 
@@ -223,89 +226,25 @@ end
     ({!Census_index.is_complete}) answers every realizable request as
     [Index_hit] and never falls through to a search — an impossible miss
     on one is reported as [Internal], not silently searched.  On a
-    {e partial} index, the first miss that does fall through logs the
-    index horizon and the chosen engine once per process and bumps the
-    [mce.plan.fallback_reason] counter.  [bidir] is a shared
-    meet-in-the-middle context ({!Bidir.create}, built for the same
-    library); with it a query can certify costs up to [max_depth] even
-    beyond the forward engine's practical depth.  With neither, the
-    original forward BFS runs.  [jobs] (default 1) is the forward BFS
-    worker-domain count; it does not affect results (see
-    {!Search.create}).
+    {e partial} index, the first miss that does fall through to the
+    forward BFS logs the index horizon once per process and bumps the
+    [mce.plan.fallback_reason] counter.  Without an index the original
+    forward BFS runs.  Counting and enumeration tasks always run the
+    forward BFS.  [jobs] (default 1) is the forward BFS worker-domain
+    count; it does not affect results (see {!Search.create}).
 
     [should_stop] is a cooperative cancellation flag polled between
     levels and between expansion chunks; when it fires the evaluation
     stops cleanly with the [Cancelled] error (the daemon maps its
     deadline watchdog onto it and reports [Deadline_exceeded]).
 
-    Determinism: with a fixed library, index file, and a {!Bidir}
-    context warmed to a fixed depth ({!Bidir.warm}) and capped there,
-    [solve] is a pure function of the request — the property the
-    daemon's response cache and the cross-transport byte-identity tests
-    rely on. *)
+    Determinism: with a fixed library and index file, [solve] is a pure
+    function of the request — the property the daemon's response cache
+    and the cross-transport byte-identity tests rely on. *)
 val solve :
   ?jobs:int ->
   ?should_stop:(unit -> bool) ->
   ?index:Census_index.t ->
-  ?bidir:Bidir.t ->
   Library.t ->
   Request.t ->
   Response.t
-
-(** {1 Legacy entry points}
-
-    Thin wrappers over {!solve} / the shared search, kept so existing
-    callers compile; new code should build a {!Request.t} and call
-    {!solve}.  Legacy call sites that are not worth migrating can
-    disable the alert locally with [-alert --deprecated] (see
-    [test/dune]). *)
-
-val express :
-  ?max_depth:int ->
-  ?jobs:int ->
-  ?should_stop:(unit -> bool) ->
-  ?index:Census_index.t ->
-  ?bidir:Bidir.t ->
-  Library.t ->
-  Reversible.Revfun.t ->
-  result option
-[@@ocaml.deprecated "use Mce.solve with a Request.t (task Synthesize)"]
-
-type query
-
-val run_query :
-  ?max_depth:int ->
-  ?jobs:int ->
-  ?should_stop:(unit -> bool) ->
-  Library.t ->
-  Reversible.Revfun.t ->
-  query
-[@@ocaml.deprecated "use Mce.solve; the daemon's response cache replaces shared queries"]
-
-val query_result : query -> result option
-[@@ocaml.deprecated "use Mce.solve with a Request.t (task Synthesize)"]
-
-val query_witnesses : query -> int
-[@@ocaml.deprecated "use Mce.solve with a Request.t (task Count_witnesses)"]
-
-val query_realizations : ?limit:int -> query -> result list
-[@@ocaml.deprecated "use Mce.solve with a Request.t (task Enumerate)"]
-
-val all_realizations :
-  ?max_depth:int ->
-  ?limit:int ->
-  ?jobs:int ->
-  ?should_stop:(unit -> bool) ->
-  Library.t ->
-  Reversible.Revfun.t ->
-  result list
-[@@ocaml.deprecated "use Mce.solve with a Request.t (task Enumerate)"]
-
-val distinct_witnesses :
-  ?max_depth:int ->
-  ?jobs:int ->
-  ?should_stop:(unit -> bool) ->
-  Library.t ->
-  Reversible.Revfun.t ->
-  int
-[@@ocaml.deprecated "use Mce.solve with a Request.t (task Count_witnesses)"]

@@ -202,7 +202,6 @@ let arena_bytes t = State_arena.arena_bytes t.store
 let frontier_handles t = t.frontier
 let key_of_handle t h = State_arena.key_of t.store h
 let depth_of_handle t h = State_arena.depth_of t.store h
-let frontier t = Array.to_list (Array.map (key_of_handle t) t.frontier)
 
 (* [run_workers ~parallel jobs f] runs [f 0 .. f (jobs-1)], either on
    [jobs] domains or sequentially on the calling one.  Every [f r] writes
@@ -527,8 +526,6 @@ let step_handles t =
   match try_step t ~cancel:never_cancel with
   | Some next -> next
   | None -> assert false (* never_cancel cannot fire *)
-
-let step t = Array.to_list (Array.map (key_of_handle t) (step_handles t))
 
 (* {1 Key-based lookups (legacy string interface)} *)
 

@@ -128,8 +128,9 @@ val restriction_of_handle : t -> handle -> Reversible.Revfun.t option
     [j] to (not necessarily itself a binary code).  Under the
     reasonable-product constraint, whether a gate sequence may legally
     follow the circuit — and what restriction the composite computes —
-    depends {e only} on these bytes, which makes them the join column of
-    the meet-in-the-middle engine ({!Bidir}). *)
+    depends {e only} on these bytes, which makes them the match key of
+    the probabilistic-circuit and behaviour searches and the join column
+    of the meet-in-the-middle cost oracle. *)
 val binary_image_of_handle : t -> handle -> string
 
 (** [num_binary t] is the number of binary codes of the encoding (the
@@ -142,15 +143,6 @@ val num_binary : t -> int
     recorded conjugators ({!Symmetry.gate_map}) step by step; the result
     implements the representative's own image. *)
 val cascade_of_handle : t -> handle -> Cascade.t
-
-(** {1 String-key interface (legacy, kept for existing callers)} *)
-
-(** [frontier t] is the keys of the states discovered at [depth t]. *)
-val frontier : t -> string list
-
-(** [step t] expands one level and returns the new frontier (the keys of
-    B[depth+1]); an empty result means the reachable set is exhausted. *)
-val step : t -> string list
 
 (** {1 Key decoding} *)
 

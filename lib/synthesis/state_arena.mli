@@ -76,7 +76,7 @@ val key_of : t -> int -> string
 (** [key_prefix t handle ~len] is the first [len] bytes of [handle]'s key
     — for 3-qubit searches the length-[num_binary] prefix is the state's
     image of the binary block, which is the join column of the
-    meet-in-the-middle engine ({!Bidir}): two circuits compose into a
+    meet-in-the-middle cost oracle: two circuits compose into a
     realization of a binary function exactly when the suffix chain leads
     from that image vector to the target.  Bounds are not checked beyond
     the shard arena itself; [len] must be within the key. *)

@@ -1,11 +1,13 @@
-(* Meet-in-the-middle and census-index tests.
+(* Meet-in-the-middle oracle, census-index and planner tests.
 
    The heart is an exhaustive oracle check: for every one of the 1260
    functions in the depth-7 census, the bidirectional engine must report
    exactly the census cost and a legal cascade realizing the function.
    The engine's forward wave is capped at depth 4 for that test, so
    every cost >= 5 answer is forced through a genuine forward+backward
-   join rather than a warm forward lookup.
+   join rather than a warm forward lookup.  No serving path uses this
+   engine; it is the independent cost oracle (test_complete_index
+   re-derives the deep tail of the complete index with it).
 
    The census index is checked as a round-trip (build -> save -> load ->
    every lookup agrees with Fmcf.find) plus rejection tests: CRC damage,
@@ -111,28 +113,7 @@ let test_cost8_beyond_census () =
       check Alcotest.int "exact cost" 8 o.Bidir.cost;
       checkb "cascade realizes the function" true (realizes cost8 o.Bidir.cascade);
       checkb "exact unitary implements it" true
-        (Verify.cascade_implements ~qubits:3 o.Bidir.cascade cost8);
-      (* the census proves cost >= 8; handing that bound in must not
-         change the answer *)
-      (match Bidir.synthesize ~max_cost:14 ~lower_bound:8 engine cost8 with
-      | Some o' -> check Alcotest.int "cost with lower bound" 8 o'.Bidir.cost
-      | None -> Alcotest.fail "lower-bound query found nothing")
-
-let test_determinism_across_jobs () =
-  let run jobs =
-    let engine = Bidir.create ~jobs ~max_fwd_depth:4 library3 in
-    List.map
-      (fun t ->
-        match Bidir.synthesize engine t with
-        | Some o -> o.Bidir.cascade
-        | None -> Alcotest.fail "query failed")
-      [ toffoli; peres; fredkin ]
-  in
-  List.iteri
-    (fun i (a, b) ->
-      checkb (Printf.sprintf "cascade %d identical at jobs=2" i) true
-        (Cascade.equal a b))
-    (List.combine (run 1) (run 2))
+        (Verify.cascade_implements ~qubits:3 o.Bidir.cascade cost8)
 
 (* {1 Census index} *)
 
@@ -358,55 +339,83 @@ let test_v1_format_rejected () =
       ("mmap", fun () -> Census_index.load_mmap library3 path);
     ]
 
-(* {1 Mce integration: planner and shared queries} *)
+(* {1 Mce integration: the two-plan planner} *)
 
-let test_express_with_index () =
+let solve ?index ?max_depth ?task target =
+  Mce.solve ?index library3
+    (Mce.Request.make ?max_depth ?task (Spec.to_output_list target))
+
+let test_solve_index_then_forward () =
   with_temp_file @@ fun path ->
   save_to path;
   let idx = Census_index.load library3 path in
   List.iter
     (fun (name, target, expected) ->
-      match Mce.express ~index:idx library3 target with
-      | Some r ->
+      let resp = solve ~index:idx target in
+      match (resp.Mce.Response.body, Mce.Response.result_of resp) with
+      | Ok { plan = Mce.Response.Index_hit; _ }, Some r ->
           check Alcotest.int (name ^ " cost via index") expected r.Mce.cost;
           checkb (name ^ " result valid") true (Verify.result_valid library3 r)
-      | None -> Alcotest.failf "%s: no result via index" name)
+      | _ -> Alcotest.failf "%s: not an index hit" name)
     [ ("toffoli", toffoli, 5); ("peres", peres, 4); ("fredkin", fredkin, 7) ];
   (* a miss under an index covering the whole depth bound is a certified
-     None — no search runs *)
-  checkb "certified miss" true (Mce.express ~index:idx library3 cost8 = None);
-  (* beyond the horizon the planner falls through to bidir and finds 8 *)
-  let engine = Bidir.create library3 in
-  match Mce.express ~max_depth:14 ~index:idx ~bidir:engine library3 cost8 with
-  | Some r ->
-      check Alcotest.int "cost-8 via index+bidir" 8 r.Mce.cost;
-      checkb "cost-8 result valid" true (Verify.result_valid library3 r)
-  | None -> Alcotest.fail "cost-8: no result via index+bidir"
+     Unrealizable — no search runs *)
+  (match (solve ~index:idx cost8).Mce.Response.body with
+  | Ok { plan = Mce.Response.Index_certified; payload = Mce.Response.Unrealizable _ }
+    ->
+      ()
+  | _ -> Alcotest.fail "cost-8 miss not certified");
+  (* a miss beyond the horizon of a shallower index falls through to the
+     forward BFS *)
+  let idx4 = Census_index.build (Fmcf.run ~max_depth:4 library3) in
+  let resp = solve ~index:idx4 toffoli in
+  match (resp.Mce.Response.body, Mce.Response.result_of resp) with
+  | Ok { plan = Mce.Response.Forward_bfs; _ }, Some r ->
+      check Alcotest.int "toffoli via the forward BFS" 5 r.Mce.cost;
+      checkb "forward result valid" true (Verify.result_valid library3 r)
+  | _ -> Alcotest.fail "toffoli: no forward answer past the index horizon"
 
-let test_shared_query () =
-  let q = Mce.run_query library3 toffoli in
-  (match Mce.query_result q with
+let realizations ?max_depth ~limit target =
+  match
+    (solve ?max_depth ~task:(Mce.Request.Enumerate { limit }) target)
+      .Mce.Response.body
+  with
+  | Ok { payload = Mce.Response.Realizations { cost; cascades; complete; _ }; _ } ->
+      (cost, cascades, complete)
+  | _ -> Alcotest.fail "no realizations payload"
+
+let test_three_tasks () =
+  (match Mce.Response.result_of (solve toffoli) with
   | Some r -> check Alcotest.int "toffoli cost" 5 r.Mce.cost
   | None -> Alcotest.fail "toffoli: no result");
-  check Alcotest.int "toffoli witnesses" 4 (Mce.query_witnesses q);
-  check Alcotest.int "toffoli realizations" 40
-    (List.length (Mce.query_realizations q));
-  check Alcotest.int "realizations under limit" 7
-    (List.length (Mce.query_realizations ~limit:7 q))
+  (match (solve ~task:Mce.Request.Count_witnesses toffoli).Mce.Response.body with
+  | Ok { payload = Mce.Response.Witnesses { count }; _ } ->
+      check Alcotest.int "toffoli witnesses" 4 count
+  | _ -> Alcotest.fail "toffoli: no witness count");
+  let _, all, complete = realizations ~limit:10_000 toffoli in
+  check Alcotest.int "toffoli realizations" 40 (List.length all);
+  checkb "enumeration complete" true complete;
+  let _, some, complete = realizations ~limit:7 toffoli in
+  check Alcotest.int "realizations under limit" 7 (List.length some);
+  checkb "truncated enumeration flagged" false complete
 
-let test_realizations_limit_regression () =
+let test_enumerate_limit () =
   (* the returned list must never exceed [limit], including limit 0 and
      limits smaller than one witness's cascade count *)
   List.iter
     (fun limit ->
-      let rs = Mce.all_realizations ~limit library3 toffoli in
-      check Alcotest.int
-        (Printf.sprintf "all_realizations ~limit:%d" limit)
-        (min limit 40) (List.length rs))
+      let cost, cascades, _ = realizations ~limit toffoli in
+      check Alcotest.int (Printf.sprintf "enumerate limit %d" limit)
+        (min limit 40) (List.length cascades);
+      (* the cost is the witnesses' level, not read off a cascade: an
+         empty list under limit 0 still reports it *)
+      check Alcotest.int (Printf.sprintf "cost under limit %d" limit) 5 cost)
     [ 0; 1; 3; 9; 40; 1000 ];
-  check Alcotest.int "identity under limit 0" 0
-    (List.length
-       (Mce.all_realizations ~limit:0 library3 (Revfun.identity ~bits:3)))
+  let cost0, _, _ = realizations ~max_depth:7 ~limit:0 toffoli
+  and cost1, _, _ = realizations ~max_depth:7 ~limit:1 toffoli in
+  check Alcotest.int "limit 0 and limit 1 report the same cost" cost1 cost0;
+  let _, identity, _ = realizations ~limit:0 (Revfun.identity ~bits:3) in
+  check Alcotest.int "identity under limit 0" 0 (List.length identity)
 
 let () =
   Alcotest.run "bidir"
@@ -420,8 +429,6 @@ let () =
             test_identity_and_bounds;
           Alcotest.test_case "exact cost 8 beyond the census" `Quick
             test_cost8_beyond_census;
-          Alcotest.test_case "deterministic across jobs" `Quick
-            test_determinism_across_jobs;
         ] );
       ( "census index",
         [
@@ -436,10 +443,10 @@ let () =
         ] );
       ( "mce planner",
         [
-          Alcotest.test_case "express via index and bidir" `Quick
-            test_express_with_index;
-          Alcotest.test_case "one search, three answers" `Quick test_shared_query;
-          Alcotest.test_case "all_realizations respects limit" `Quick
-            test_realizations_limit_regression;
+          Alcotest.test_case "index, then forward past the horizon" `Quick
+            test_solve_index_then_forward;
+          Alcotest.test_case "three tasks, one target" `Quick test_three_tasks;
+          Alcotest.test_case "enumerate respects limit" `Quick
+            test_enumerate_limit;
         ] );
     ]

@@ -172,12 +172,9 @@ let test_mmap_and_heap_loaders_agree () =
 let test_solve_always_hits () =
   let idx = Lazy.force complete in
   (* with a complete index every realizable request is answered by a
-     probe — across all 8 NOT cosets, with no bidir context supplied and
-     no silent fallback possible *)
-  let spec_of func =
-    String.concat ","
-      (List.init 8 (fun j -> string_of_int (Revfun.apply func j)))
-  in
+     probe — across all 8 NOT cosets, with no silent fallback to the
+     forward BFS possible *)
+  let spec_of = Spec.to_output_list in
   let rng = Random.State.make [| 0x51dec0de |] in
   for _ = 1 to 64 do
     let outputs = Array.init 8 Fun.id in

@@ -16,6 +16,11 @@ let qcheck_test ?(count = 50) name gen prop =
 let library3 = Library.make (Mvl.Encoding.make ~qubits:3)
 let library2 = Library.make (Mvl.Encoding.make ~qubits:2)
 
+(* Synthesize through the unified query API. *)
+let synthesize target =
+  Mce.Response.result_of
+    (Mce.solve library3 (Mce.Request.make (Reversible.Spec.to_output_list target)))
+
 (* Generate random *reasonable* cascades by walking allowed gates. *)
 let reasonable_cascade_gen library len =
   QCheck2.Gen.(
@@ -126,7 +131,7 @@ let test_express_random_s8_elements () =
         (Reversible.Revfun.xor_layer ~bits:3 mask)
         m.Fmcf.func
     in
-    match Mce.express library3 target with
+    match synthesize target with
     | Some r ->
         check Alcotest.int "same cost with free NOTs" cost r.Mce.cost;
         checkb "verifies" true (Verify.result_valid library3 r)
@@ -147,7 +152,7 @@ let test_not_layer_never_changes_cost () =
               (Reversible.Revfun.xor_layer ~bits:3 mask)
               m.Fmcf.func
           in
-          match Mce.express library3 target with
+          match synthesize target with
           | Some r -> check Alcotest.int "cost invariant" m.Fmcf.cost r.Mce.cost
           | None -> Alcotest.fail "expressible")
         [ 1; 5; 7 ])
@@ -163,7 +168,7 @@ let test_prob_synthesis_on_deterministic_specs () =
         Array.init 8 (fun code ->
             Mvl.Pattern.of_binary_code ~qubits:3 (Reversible.Revfun.apply target code))
       in
-      match (Automata.Prob_circuit.synthesize library3 spec, Mce.express library3 target) with
+      match (Automata.Prob_circuit.synthesize library3 spec, synthesize target) with
       | Some circuit, Some r ->
           check Alcotest.int "same cost" r.Mce.cost
             (Cascade.cost (Automata.Prob_circuit.cascade circuit))
@@ -177,7 +182,7 @@ let test_prob_synthesis_on_deterministic_specs () =
 (* 6. Adjoint cascades synthesize the inverse function. *)
 
 let test_adjoint_implements_inverse () =
-  match Mce.express library3 Reversible.Gates.g1 with
+  match synthesize Reversible.Gates.g1 with
   | Some r ->
       let adjoint = Cascade.adjoint r.Mce.cascade in
       checkb "adjoint implements inverse" true

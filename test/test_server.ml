@@ -11,9 +11,11 @@
      invariant under concurrent identical requests, cancellation and
      deadline mapping.
    - A live in-process daemon: 8 client threads x 50 mixed queries on
-     one warm service, every response byte-identical to a fresh one-shot
+     one service, every response byte-identical to a fresh one-shot
      service answering the same request; then a graceful drain with a
-     request in flight. *)
+     request in flight.
+   - The removed plan "bidir": refused as bad-request by the request
+     decoder, the daemon and a local [qsynth batch] run. *)
 
 open Synthesis
 open Reversible
@@ -60,7 +62,7 @@ let task_gen =
     ]
 
 let plan_gen =
-  QCheck2.Gen.oneofl Mce.Request.[ Auto; Index; Bidir; Forward ]
+  QCheck2.Gen.oneofl Mce.Request.[ Auto; Index; Forward ]
 
 let id_gen =
   let open QCheck2.Gen in
@@ -103,6 +105,26 @@ let has_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
+
+(* The meet-in-the-middle plan was removed: a request pinning it is
+   refused at the parse boundary, with a message naming the removal. *)
+let removed_plan_request =
+  {|{"v":1,"id":"old","spec":"toffoli","max_depth":6,"plan":"bidir"}|}
+
+let names_removal msg = has_sub msg "bidir" && has_sub msg "removed"
+
+let request_removed_plan_rejected () =
+  match Mce.Request.of_json (Telemetry.Json.of_string removed_plan_request) with
+  | Ok _ -> Alcotest.fail "plan bidir accepted"
+  | Error msg -> checkb ("message names the removal: " ^ msg) true (names_removal msg)
+
+let response_removed_plan_rejected () =
+  let doc =
+    {|{"v":1,"qubits":3,"ok":{"plan":"bidir","payload":{"kind":"synthesized","target":"0,1,2,3,4,5,7,6","not_mask":0,"cascade":"FBA*V+CB*FBA*VCA*VCB","cost":5}}}|}
+  in
+  match Mce.Response.of_string doc with
+  | Ok _ -> Alcotest.fail "plan bidir accepted in a response"
+  | Error _ -> ()
 
 let request_unknown_library_rejected () =
   let doc = {|{"v":1,"spec":"toffoli","library":"bogus"}|} in
@@ -177,7 +199,7 @@ let cascade_gen = QCheck2.Gen.(list_size (int_range 0 6) gate_gen)
 
 let plan_used_gen =
   QCheck2.Gen.oneofl
-    Mce.Response.[ Trivial; Index_hit; Index_certified; Bidir_meet; Forward_bfs ]
+    Mce.Response.[ Trivial; Index_hit; Index_certified; Forward_bfs ]
 
 let payload_gen =
   let open QCheck2.Gen in
@@ -439,11 +461,11 @@ let temp_socket_path () =
   path
 
 (* The mixed workload: every plan family, both error paths, counting and
-   enumeration.  Depths stay small (index horizon 4, warm depth 3) so
-   the whole stress run is fast. *)
+   enumeration.  Depths stay small (index horizon 4) so the whole stress
+   run is fast. *)
 let stress_requests =
   [
-    Mce.Request.make ~max_depth:6 "toffoli" (* index miss -> bidir *);
+    Mce.Request.make ~max_depth:6 "toffoli" (* index miss -> forward *);
     Mce.Request.make ~max_depth:6 "fredkin";
     Mce.Request.make "identity" (* trivial plan *);
     Mce.Request.make ~max_depth:4 "(7,8)"
@@ -451,7 +473,6 @@ let stress_requests =
        unrealizable *);
     Mce.Request.make ~plan:Mce.Request.Index ~max_depth:3 "(7,8)";
     Mce.Request.make ~max_depth:4 "0,1,2,3,6,7,4,5" (* CNOT: an index hit *);
-    Mce.Request.make ~plan:Mce.Request.Bidir ~max_depth:6 "toffoli";
     Mce.Request.make ~task:Mce.Request.Count_witnesses ~max_depth:5 "toffoli";
     Mce.Request.make
       ~task:(Mce.Request.Enumerate { limit = 5 })
@@ -463,16 +484,15 @@ let stress_requests =
 
 let daemon_stress () =
   let index = Lazy.force index4 in
-  let warm_depth = 3 in
   (* One-shot oracle: a fresh service per the byte-identity contract —
-     same index and warm depth, no shared state with the daemon. *)
-  let oracle = Service.create ~jobs:jobs_under_test ~index ~warm_depth library3 in
+     same index, no shared state with the daemon. *)
+  let oracle = Service.create ~jobs:jobs_under_test ~index library3 in
   let expected =
     List.map
       (fun r -> (r, Mce.Response.to_string (Service.answer oracle r)))
       stress_requests
   in
-  let svc = Service.create ~jobs:jobs_under_test ~index ~warm_depth library3 in
+  let svc = Service.create ~jobs:jobs_under_test ~index library3 in
   let socket = temp_socket_path () in
   let daemon = Daemon.start ~workers:2 ~queue_capacity:64 ~socket svc in
   let n_threads = 8 and per_thread = 50 in
@@ -514,6 +534,52 @@ let daemon_stress () =
       (Printf.sprintf "%d/%d responses diverged; first: %s"
          (Atomic.get failures) (n_threads * per_thread) !fail_msg);
   checkb "socket unlinked" false (Sys.file_exists socket)
+
+let expect_removed_plan name (resp : Mce.Response.t) =
+  match resp.Mce.Response.body with
+  | Error (Mce.Response.Bad_request msg) ->
+      checkb (name ^ " names the removal: " ^ msg) true (names_removal msg)
+  | _ -> Alcotest.failf "%s: %s" name (Mce.Response.to_string resp)
+
+let daemon_removed_plan () =
+  let svc = Service.create ~jobs:jobs_under_test library3 in
+  let socket = temp_socket_path () in
+  let daemon = Daemon.start ~workers:1 ~socket svc in
+  let fd = Protocol.connect socket in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Daemon.stop daemon;
+      Daemon.wait daemon)
+    (fun () ->
+      Protocol.write_frame fd removed_plan_request;
+      match Protocol.read_frame fd with
+      | Error e -> Alcotest.fail (Protocol.read_error_to_string e)
+      | Ok payload -> (
+          match Mce.Response.of_string payload with
+          | Error e -> Alcotest.fail e
+          | Ok resp -> expect_removed_plan "daemon" resp))
+
+(* Local [qsynth batch] (no daemon): the CLI's own parse path. *)
+let batch_removed_plan () =
+  let input = Filename.temp_file "qsynth_batch" ".jsonl" in
+  let output = Filename.temp_file "qsynth_batch" ".out" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ input; output ])
+    (fun () ->
+      Out_channel.with_open_text input (fun oc ->
+          output_string oc (removed_plan_request ^ "\n"));
+      let status =
+        Sys.command
+          (Printf.sprintf "../bin/qsynth.exe batch %s > %s"
+             (Filename.quote input) (Filename.quote output))
+      in
+      checkb "batch exits non-zero on a refused line" true (status <> 0);
+      match In_channel.with_open_text output In_channel.input_all |> String.trim with
+      | line -> (
+          match Mce.Response.of_string line with
+          | Error e -> Alcotest.fail (e ^ ": " ^ line)
+          | Ok resp -> expect_removed_plan "local batch" resp))
 
 let daemon_drain_in_flight () =
   (* A request accepted before the drain begins must still be answered
@@ -780,6 +846,8 @@ let () =
           Alcotest.test_case "key canonicalizes spec" `Quick key_canonicalizes;
           Alcotest.test_case "unknown library rejected" `Quick
             request_unknown_library_rejected;
+          Alcotest.test_case "removed plan bidir rejected" `Quick
+            request_removed_plan_rejected;
           Alcotest.test_case "library round-trips, default omitted" `Quick
             request_library_roundtrip;
           Alcotest.test_case "key differs across libraries" `Quick
@@ -789,6 +857,8 @@ let () =
           encoding_is_canonical;
           Alcotest.test_case "bad cascade rejected" `Quick
             response_bad_cascade_rejected;
+          Alcotest.test_case "response with plan bidir rejected" `Quick
+            response_removed_plan_rejected;
         ] );
       ( "protocol",
         [
@@ -823,6 +893,10 @@ let () =
             daemon_drain_in_flight;
           Alcotest.test_case "draining flag transitions" `Quick
             daemon_draining_flag;
+          Alcotest.test_case "removed plan is bad-request" `Quick
+            daemon_removed_plan;
+          Alcotest.test_case "local batch: removed plan is bad-request" `Quick
+            batch_removed_plan;
         ] );
       ( "http",
         [ Alcotest.test_case "metrics/healthz/readyz" `Quick http_endpoints ] );

@@ -14,6 +14,13 @@ let qcheck_test ?(count = 100) name gen prop =
 let encoding3 = Mvl.Encoding.make ~qubits:3
 let library3 = Library.make encoding3
 
+(* The MCE tests ask through the unified query API. *)
+let solve ?max_depth ?task target =
+  Mce.solve library3
+    (Mce.Request.make ?max_depth ?task (Reversible.Spec.to_output_list target))
+
+let express ?max_depth target = Mce.Response.result_of (solve ?max_depth target)
+
 (* One shared depth-7 census: several suites read from it. *)
 let census7 = lazy (Fmcf.run ~max_depth:7 library3)
 
@@ -196,17 +203,20 @@ let cascade_props =
 
 (* Search *)
 
+let frontier_keys search =
+  Array.to_list (Array.map (Search.key_of_handle search) (Search.frontier_handles search))
+
 let test_search_levels () =
   let search = Search.create library3 in
-  check Alcotest.int "B1" 18 (List.length (Search.step search));
-  check Alcotest.int "B2" 162 (List.length (Search.step search));
-  check Alcotest.int "B3" 1017 (List.length (Search.step search));
+  check Alcotest.int "B1" 18 (Array.length (Search.step_handles search));
+  check Alcotest.int "B2" 162 (Array.length (Search.step_handles search));
+  check Alcotest.int "B3" 1017 (Array.length (Search.step_handles search));
   check Alcotest.int "size after 3 levels" (1 + 18 + 162 + 1017) (Search.size search)
 
 let test_search_factorization () =
   let search = Search.create library3 in
-  ignore (Search.step search);
-  ignore (Search.step search);
+  ignore (Search.step_handles search);
+  ignore (Search.step_handles search);
   List.iter
     (fun key ->
       let cascade = Search.cascade_of_key search key in
@@ -214,13 +224,13 @@ let test_search_factorization () =
       check perm "cascade rebuilds the permutation" (Search.perm_of_key key)
         (Cascade.perm_of library3 cascade);
       checkb "cascade reasonable" true (Cascade.is_reasonable library3 cascade))
-    (List.filteri (fun i _ -> i < 20) (Search.frontier search))
+    (List.filteri (fun i _ -> i < 20) (frontier_keys search))
 
 let test_search_all_cascades () =
   let search = Search.create library3 in
-  ignore (Search.step search);
-  ignore (Search.step search);
-  let key = List.hd (Search.frontier search) in
+  ignore (Search.step_handles search);
+  ignore (Search.step_handles search);
+  let key = List.hd (frontier_keys search) in
   let all = Search.all_cascades search key in
   checkb "non-empty" true (all <> []);
   checkb "recorded cascade among them" true
@@ -233,7 +243,7 @@ let test_search_all_cascades () =
 
 let test_search_restriction_of_key () =
   let search = Search.create library3 in
-  let root = List.hd (Search.frontier search) in
+  let root = List.hd (frontier_keys search) in
   (match Search.restriction_of_key search root with
   | Some f -> checkb "root is identity" true (Reversible.Revfun.is_identity f)
   | None -> Alcotest.fail "root restricts");
@@ -320,14 +330,14 @@ let test_fmcf_members_fix_zero () =
 (* MCE *)
 
 let test_mce_identity () =
-  match Mce.express library3 (Reversible.Revfun.identity ~bits:3) with
+  match express (Reversible.Revfun.identity ~bits:3) with
   | Some r ->
       check Alcotest.int "cost 0" 0 r.Mce.cost;
       check Alcotest.int "mask 0" 0 r.Mce.not_mask
   | None -> Alcotest.fail "identity expressible"
 
 let test_mce_not_layer () =
-  match Mce.express library3 (Reversible.Revfun.xor_layer ~bits:3 5) with
+  match express (Reversible.Revfun.xor_layer ~bits:3 5) with
   | Some r ->
       check Alcotest.int "cost 0" 0 r.Mce.cost;
       check Alcotest.int "mask 5" 5 r.Mce.not_mask;
@@ -336,7 +346,7 @@ let test_mce_not_layer () =
 
 let test_mce_costs () =
   let expect name target cost =
-    match Mce.express library3 target with
+    match express target with
     | Some r ->
         check Alcotest.int (name ^ " cost") cost r.Mce.cost;
         checkb (name ^ " valid") true (Verify.result_valid library3 r)
@@ -357,20 +367,33 @@ let test_mce_with_not_layer () =
       (Reversible.Revfun.xor_layer ~bits:3 4)
       (Reversible.Gates.cnot ~bits:3 ~control:0 ~target:2)
   in
-  match Mce.express library3 target with
+  match express target with
   | Some r ->
       checkb "mask nonzero" true (r.Mce.not_mask <> 0);
       checkb "valid" true (Verify.result_valid library3 r)
   | None -> Alcotest.fail "expressible"
 
 let test_mce_witness_counts () =
-  check Alcotest.int "peres 2 witnesses" 2
-    (Mce.distinct_witnesses library3 Reversible.Gates.g1);
-  check Alcotest.int "toffoli 4 witnesses" 4
-    (Mce.distinct_witnesses library3 Reversible.Gates.toffoli3)
+  let witnesses target =
+    match (solve ~task:Mce.Request.Count_witnesses target).Mce.Response.body with
+    | Ok { payload = Mce.Response.Witnesses { count }; _ } -> count
+    | _ -> Alcotest.fail "no witness count"
+  in
+  check Alcotest.int "peres 2 witnesses" 2 (witnesses Reversible.Gates.g1);
+  check Alcotest.int "toffoli 4 witnesses" 4 (witnesses Reversible.Gates.toffoli3)
 
-let test_mce_all_realizations () =
-  let results = Mce.all_realizations library3 Reversible.Gates.toffoli3 in
+let test_mce_realization_list () =
+  let results =
+    match
+      (solve ~task:(Mce.Request.Enumerate { limit = 10_000 })
+         Reversible.Gates.toffoli3)
+        .Mce.Response.body
+    with
+    | Ok { payload = Mce.Response.Realizations { target; not_mask; cost; cascades; _ }; _ }
+      ->
+        List.map (fun cascade -> { Mce.target; not_mask; cascade; cost }) cascades
+    | _ -> Alcotest.fail "no realizations"
+  in
   check Alcotest.int "40 minimal toffoli cascades" 40 (List.length results);
   checkb "all cost 5" true (List.for_all (fun r -> r.Mce.cost = 5) results);
   checkb "all valid" true (List.for_all (Verify.result_valid library3) results);
@@ -395,7 +418,7 @@ let test_mce_strip_not_layer () =
 
 let test_mce_depth_bound () =
   checkb "fredkin not found at depth 5" true
-    (Mce.express ~max_depth:5 library3 Reversible.Gates.fredkin3 = None)
+    (express ~max_depth:5 Reversible.Gates.fredkin3 = None)
 
 let mce_props =
   [
@@ -407,7 +430,7 @@ let mce_props =
         let level = (seed mod 5) + 1 in
         let members = Fmcf.members_at census ~cost:level in
         let m = List.nth members (seed * 7 mod List.length members) in
-        match Mce.express library3 m.Fmcf.func with
+        match express m.Fmcf.func with
         | Some r -> r.Mce.cost = level && r.Mce.not_mask = 0
         | None -> false);
   ]
@@ -775,7 +798,7 @@ let () =
           Alcotest.test_case "known costs" `Quick test_mce_costs;
           Alcotest.test_case "with NOT layer" `Quick test_mce_with_not_layer;
           Alcotest.test_case "witness counts" `Quick test_mce_witness_counts;
-          Alcotest.test_case "all realizations" `Quick test_mce_all_realizations;
+          Alcotest.test_case "all realizations" `Quick test_mce_realization_list;
           Alcotest.test_case "strip NOT layer" `Quick test_mce_strip_not_layer;
           Alcotest.test_case "depth bound" `Quick test_mce_depth_bound;
         ] );

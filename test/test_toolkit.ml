@@ -11,6 +11,11 @@ let qcheck_test ?(count = 100) name gen prop =
 
 let library3 = Library.make (Mvl.Encoding.make ~qubits:3)
 
+(* Synthesize through the unified query API. *)
+let synthesize target =
+  Mce.Response.result_of
+    (Mce.solve library3 (Mce.Request.make (Reversible.Spec.to_output_list target)))
+
 let gate_gen =
   QCheck2.Gen.(map (fun i -> List.nth (Gate.all ~qubits:3) (abs i mod 18)) int)
 
@@ -46,7 +51,7 @@ let test_weighted_unit_matches_bfs () =
     (fun target ->
       match
         ( Weighted.express library3 ~model:Cost_model.unit target,
-          Mce.express library3 target )
+          synthesize target )
       with
       | Some w, Some m ->
           check Alcotest.int "unit model = BFS cost" m.Mce.cost w.Weighted.cost;
@@ -128,7 +133,7 @@ let weighted_props =
           (fun target ->
             match
               ( Weighted.express ~max_cost:10 library3 ~model target,
-                Mce.express library3 target )
+                synthesize target )
             with
             | Some weighted, Some unit_result ->
                 (* the model-optimal cascade costs no more, under the
@@ -337,7 +342,7 @@ let test_composer_matches_exact_costs () =
   let express = Spectrum.composer census in
   List.iter
     (fun target ->
-      match (express target, Mce.express library3 target) with
+      match (express target, synthesize target) with
       | Some composed, Some exact ->
           check Alcotest.int "optimal" exact.Mce.cost composed.Mce.cost;
           checkb "verified" true (Verify.result_valid library3 composed)
@@ -390,9 +395,13 @@ let test_composer_covers_the_group () =
 
 let toffoli_cascades =
   lazy
-    (List.map
-       (fun r -> r.Mce.cascade)
-       (Mce.all_realizations library3 Reversible.Gates.toffoli3))
+    (match
+       (Mce.solve library3
+          (Mce.Request.make ~task:(Mce.Request.Enumerate { limit = 10_000 }) "toffoli"))
+         .Mce.Response.body
+     with
+    | Ok { payload = Mce.Response.Realizations { cascades; _ }; _ } -> cascades
+    | _ -> Alcotest.fail "toffoli realizations")
 
 let test_equivalence_fig9_structure () =
   let cascades = Lazy.force toffoli_cascades in
